@@ -4,9 +4,11 @@
 ///
 /// The model (arch::projected_strong_scaling / projected_weak_scaling)
 /// charges exactly the terms backend::NetworkChargingBackend charges at
-/// runtime: per rank one latency per grid neighbour plus its halo bytes
-/// over the link, minus the interior-compute overlap budget, plus two
-/// log-tree ordered allreduces.  Before projecting, the bench validates
+/// runtime, through the same arch/network.hpp functions: per rank one
+/// latency per grid neighbour plus its halo bytes over the link, minus the
+/// interior-compute overlap budget, plus one log-tree ordered allreduce
+/// per reduction of the Jacobi CG iteration (three: <p,Ap>, <r,r>,
+/// <r,z>).  Before projecting, the bench validates
 /// the runtime it models: at small rank counts the in-process solve must
 /// be bitwise identical across every partition kind × overlap setting ×
 /// rank count — the determinism contract that makes the projection's

@@ -1,17 +1,20 @@
 /// Strong/weak scaling of the distributed CG iteration — measured on the
-/// in-process SPMD runtime and predicted by arch::ClusterModel, side by
+/// in-process SPMD runtime and predicted by the partition-aware cluster
+/// model (arch::projected_strong_scaling / projected_weak_scaling), side by
 /// side.  This is the cluster-level analogue of fig3_model_vs_measured:
 /// the model's kernel term is calibrated from the measured single-rank
-/// iteration, its network terms from the --latency-us/--bw-gbs knobs, and
-/// the table shows how far the analytic strong-scaling projection tracks a
-/// real partitioned solve (real halo exchange, real allreduce).
+/// iteration, its network terms come from --network, and the table shows
+/// how far the analytic projection tracks a real partitioned solve (real
+/// halo exchange, real allreduce).  The model runs the measured solves'
+/// configuration: z-slabs, no halo/compute overlap, Jacobi CG.
 ///
 /// The projection tables extend the comparison to the paper's deployment
 /// context (Noctua is an FPGA cluster): simulated Stratix 10 GX2800 and
 /// V100 clusters behind a 100 Gb/s, 1.5 us network.
 ///
 /// Usage: cluster_scaling [--degree 5] [--nelxy 4] [--nelz 8] [--iters 20]
-///                        [--threads 0] [--max-ranks 8] [--json [path]]
+///                        [--threads 0] [--max-ranks 8] [--network eth-100g]
+///                        [--json [path]]
 
 #include <algorithm>
 #include <cmath>
@@ -40,7 +43,7 @@ struct ScalingRow {
   int ranks = 0;
   std::int64_t elements = 0;
   double measured_us = 0.0;  ///< measured seconds per CG iteration * 1e6
-  double model_us = 0.0;     ///< ClusterModel prediction (strong only)
+  double model_us = 0.0;     ///< cluster-model prediction
   double measured_speedup = 1.0;
   double model_speedup = 1.0;
 };
@@ -66,12 +69,13 @@ void print_scaling(const char* label, const sem::BoxMeshSpec& spec,
                    const arch::DeviceKernelTime& kernel,
                    const arch::NetworkSpec& network, const std::vector<int>& ranks,
                    bool csv) {
-  const auto points = arch::strong_scaling(spec, kernel, network, ranks);
+  const auto points = arch::projected_strong_scaling(
+      spec, kernel, network, ranks, runtime::PartitionKind::kSlab, /*overlap=*/false);
 
   Table table(std::string("Strong scaling of one CG iteration — ") + label);
   table.set_header({"ranks", "Ax (us)", "halo (us)", "allreduce (us)", "iter (us)",
                     "speedup", "efficiency"});
-  for (const arch::ScalingPoint& p : points) {
+  for (const arch::ProjectionPoint& p : points) {
     table.add_row({Table::fmt_int(p.ranks), Table::fmt(p.ax_seconds * 1e6, 1),
                    Table::fmt(p.halo_seconds * 1e6, 1),
                    Table::fmt(p.allreduce_seconds * 1e6, 1),
@@ -96,11 +100,9 @@ int main(int argc, char** argv) {
       {"iters", FlagSpec::Kind::kInt, "20", "CG iterations per measurement"},
       {"threads", FlagSpec::Kind::kInt, "0", "total thread budget (0 = all)"},
       {"max-ranks", FlagSpec::Kind::kInt, "8", "largest rank count to measure"},
-      {"latency-us", FlagSpec::Kind::kDouble, "1.5", "modelled per-message latency"},
-      {"bw-gbs", FlagSpec::Kind::kDouble, "12.5", "modelled per-link bandwidth (GB/s)"},
-      {"network", FlagSpec::Kind::kString, "",
-       "modeled interconnect preset (" + arch::known_networks_joined() +
-           ") or LAT_US:BW_GBS; overrides --latency-us/--bw-gbs"},
+      {"network", FlagSpec::Kind::kString, "eth-100g",
+       "modeled interconnect: preset (" + arch::known_networks_joined() +
+           ") or LAT_US:BW_GBS"},
       {"elements", FlagSpec::Kind::kInt, "16384", "projection problem size (elements)"},
       {"json", FlagSpec::Kind::kString, "BENCH_cluster.json", "write results as JSON"},
       {"csv", FlagSpec::Kind::kBool, "", "emit CSV instead of tables"},
@@ -109,7 +111,7 @@ int main(int argc, char** argv) {
   if (const auto ec = cli.early_exit(
           "cluster_scaling",
           "Measured strong/weak scaling of the in-process SPMD runtime next to the "
-          "arch::ClusterModel prediction, plus FPGA/GPU cluster projections.")) {
+          "cluster-model prediction, plus FPGA/GPU cluster projections.")) {
     return *ec;
   }
   if (!obs::configure_from_flag(cli.get("obs", "off"), "cluster_scaling")) {
@@ -126,12 +128,8 @@ int main(int argc, char** argv) {
   SEMFPGA_CHECK(degree >= 1 && nelxy >= 1 && nelz >= 1 && iters >= 1 && max_ranks >= 1,
                 "--degree/--nelxy/--nelz/--iters/--max-ranks must be positive");
 
-  arch::NetworkSpec network;
-  network.latency_us = cli.get_double("latency-us", 1.5);
-  network.bandwidth_gbs = cli.get_double("bw-gbs", 12.5);
-  if (!cli.get("network", "").empty()) {
-    network = arch::parse_network_flag(cli.get("network", ""));
-  }
+  const arch::NetworkSpec network =
+      arch::parse_network_flag(cli.get("network", "eth-100g"));
 
   sem::BoxMeshSpec spec;
   spec.degree = degree;
@@ -159,14 +157,18 @@ int main(int argc, char** argv) {
     strong.push_back(row);
   }
   // Model calibration: the single-rank measurement fixes the per-element
-  // compute time; the network knobs fix the halo/allreduce terms.  What
+  // compute time; --network fixes the halo/allreduce terms.  What
   // the model then *predicts* is the shape of the scaling curve.
   const double per_element_us = strong.front().measured_us /
                                 static_cast<double>(total_elements);
   const arch::DeviceKernelTime host_kernel = [per_element_us](std::int64_t n) {
     return per_element_us * static_cast<double>(n) * 1e-6;
   };
-  const auto model_points = arch::strong_scaling(spec, host_kernel, network, rank_counts);
+  // The measured runs use the default DistributedSolveConfig: z-slabs,
+  // overlap off.
+  const auto model_points =
+      arch::projected_strong_scaling(spec, host_kernel, network, rank_counts,
+                                     runtime::PartitionKind::kSlab, /*overlap=*/false);
   for (std::size_t i = 0; i < strong.size(); ++i) {
     strong[i].model_us = model_points[i].iteration_seconds * 1e6;
     strong[i].measured_speedup = strong.front().measured_us / strong[i].measured_us;
@@ -206,7 +208,8 @@ int main(int argc, char** argv) {
   sem::BoxMeshSpec weak_template = spec;
   weak_template.nelz = layers_per_rank;
   const auto weak_model =
-      arch::weak_scaling(weak_template, host_kernel, network, rank_counts);
+      arch::projected_weak_scaling(weak_template, host_kernel, network, rank_counts,
+                                   runtime::PartitionKind::kSlab, /*overlap=*/false);
   for (std::size_t i = 0; i < weak.size(); ++i) {
     // For weak rows the speedup fields hold t(1)/t(r): the weak efficiency.
     weak[i].measured_speedup = weak.front().measured_us / weak[i].measured_us;

@@ -1,9 +1,7 @@
 #include "arch/cluster_model.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/check.hpp"
+#include "solver/cg.hpp"
 
 namespace semfpga::arch {
 namespace {
@@ -22,20 +20,12 @@ ProjectionPoint project_one(const sem::BoxMeshSpec& spec, const DeviceKernelTime
   double worst = -1.0;
   for (const runtime::RankBlock& rb : part.ranks) {
     const double ax = kernel(rb.n_elements);
-    double halo = 0.0;
-    if (rb.n_neighbors > 0) {
-      // One latency per neighbour message plus the rank's total halo
-      // bytes over the link — the terms NetworkChargingBackend charges.
-      halo = static_cast<double>(rb.n_neighbors) * network.latency_us * 1e-6 +
-             static_cast<double>(rb.halo_doubles) * 8.0 /
-                 (network.bandwidth_gbs * 1e9);
-    }
+    const double halo = halo_seconds(network, rb.n_neighbors, rb.halo_doubles);
     const double interior =
         rb.n_elements == 0 ? 0.0
                            : static_cast<double>(rb.n_interior_elements) /
                                  static_cast<double>(rb.n_elements);
-    const double budget = overlap ? ax * interior : 0.0;
-    const double charged = std::max(0.0, halo - budget);
+    const double charged = overlap_remainder(halo, overlap ? ax * interior : 0.0);
     // Ties happen whenever overlap hides every rank's halo (equal blocks,
     // equal kernel time): break them toward the largest full halo so the
     // reported overlap credit is the interior rank's, not a corner's.
@@ -49,148 +39,68 @@ ProjectionPoint project_one(const sem::BoxMeshSpec& spec, const DeviceKernelTime
       pt.max_elements = rb.n_elements;
     }
   }
-  if (ranks > 1) {
-    const double hops = std::ceil(std::log2(static_cast<double>(ranks)));
-    pt.allreduce_seconds = 2.0 * 2.0 * hops * network.latency_us * 1e-6;
-  }
+  // The reductions of the Jacobi CG iteration the projection is validated
+  // against (bench/cluster_projection runs default CgOptions).
+  pt.allreduce_seconds =
+      static_cast<double>(solver::reductions_per_iteration(solver::CgOptions{})) *
+      allreduce_seconds(network, ranks);
   pt.iteration_seconds = pt.ax_seconds + pt.halo_seconds + pt.allreduce_seconds;
   return pt;
 }
 
-}  // namespace
-
-std::vector<ScalingPoint> strong_scaling(const sem::BoxMeshSpec& spec,
-                                         const DeviceKernelTime& kernel,
-                                         const NetworkSpec& network,
-                                         const std::vector<int>& rank_counts) {
+/// Sweeps `rank_counts`, building each point's box with `box_for(ranks)`;
+/// speedup = t(1)/t(r), efficiency = speedup / ranks (strong) or the
+/// speedup itself (weak: perfect growth keeps the iteration time flat).
+template <typename BoxFor>
+std::vector<ProjectionPoint> sweep(const DeviceKernelTime& kernel,
+                                   const NetworkSpec& network,
+                                   const std::vector<int>& rank_counts,
+                                   runtime::PartitionKind partition, bool overlap,
+                                   bool weak, BoxFor box_for) {
   SEMFPGA_CHECK(static_cast<bool>(kernel), "kernel time function must be callable");
-  SEMFPGA_CHECK(network.latency_us >= 0.0 && network.bandwidth_gbs > 0.0,
-                "network parameters must be sane");
-
-  std::vector<ScalingPoint> points;
-  double t1 = 0.0;  // single-rank iteration time, set by the first entry
-
-  for (const int ranks : rank_counts) {
-    const solver::SlabPartition part = solver::partition_slabs(spec, ranks);
-
-    ScalingPoint pt;
-    pt.ranks = ranks;
-    pt.ax_seconds = kernel(part.max_elements());
-
-    // Halo exchange: one message each way per shared plane, overlapped
-    // neighbours — the slowest rank posts up to two sends and receives.
-    if (ranks > 1) {
-      const double bytes = static_cast<double>(part.max_halo_bytes());
-      pt.halo_seconds = 2.0 * (network.latency_us * 1e-6 +
-                               bytes / (network.bandwidth_gbs * 1e9));
-      // Two allreduces per CG iteration (alpha and beta), log2 tree.
-      const double hops = std::ceil(std::log2(static_cast<double>(ranks)));
-      pt.allreduce_seconds = 2.0 * 2.0 * hops * network.latency_us * 1e-6;
-    }
-    pt.iteration_seconds = pt.ax_seconds + pt.halo_seconds + pt.allreduce_seconds;
-    if (points.empty() && ranks == 1) {
-      t1 = pt.iteration_seconds;
-    }
-    if (t1 > 0.0) {
-      pt.speedup = t1 / pt.iteration_seconds;
-      pt.efficiency = pt.speedup / ranks;
-    }
-    points.push_back(pt);
-  }
-  return points;
-}
-
-std::vector<ScalingPoint> weak_scaling(const sem::BoxMeshSpec& spec,
-                                       const DeviceKernelTime& kernel,
-                                       const NetworkSpec& network,
-                                       const std::vector<int>& rank_counts) {
-  SEMFPGA_CHECK(static_cast<bool>(kernel), "kernel time function must be callable");
-  SEMFPGA_CHECK(network.latency_us >= 0.0 && network.bandwidth_gbs > 0.0,
-                "network parameters must be sane");
-
-  std::vector<ScalingPoint> points;
+  check_network(network);
+  std::vector<ProjectionPoint> points;
   double t1 = 0.0;
   for (const int ranks : rank_counts) {
-    sem::BoxMeshSpec grown = spec;
-    grown.nelz = spec.nelz * ranks;  // constant layers per rank
-    const solver::SlabPartition part = solver::partition_slabs(grown, ranks);
-
-    ScalingPoint pt;
-    pt.ranks = ranks;
-    pt.ax_seconds = kernel(part.max_elements());
-    if (ranks > 1) {
-      const double bytes = static_cast<double>(part.max_halo_bytes());
-      pt.halo_seconds = 2.0 * (network.latency_us * 1e-6 +
-                               bytes / (network.bandwidth_gbs * 1e9));
-      const double hops = std::ceil(std::log2(static_cast<double>(ranks)));
-      pt.allreduce_seconds = 2.0 * 2.0 * hops * network.latency_us * 1e-6;
-    }
-    pt.iteration_seconds = pt.ax_seconds + pt.halo_seconds + pt.allreduce_seconds;
+    ProjectionPoint pt =
+        project_one(box_for(ranks), kernel, network, ranks, partition, overlap);
     if (points.empty() && ranks == 1) {
       t1 = pt.iteration_seconds;
     }
     if (t1 > 0.0) {
-      // Weak scaling: perfect growth keeps the iteration time flat.
       pt.speedup = t1 / pt.iteration_seconds;
-      pt.efficiency = pt.speedup;
+      pt.efficiency = weak ? pt.speedup : pt.speedup / ranks;
     }
     points.push_back(pt);
   }
   return points;
 }
+
+}  // namespace
 
 std::vector<ProjectionPoint> projected_strong_scaling(
     const sem::BoxMeshSpec& spec, const DeviceKernelTime& kernel,
     const NetworkSpec& network, const std::vector<int>& rank_counts,
     runtime::PartitionKind partition, bool overlap) {
-  SEMFPGA_CHECK(static_cast<bool>(kernel), "kernel time function must be callable");
-  SEMFPGA_CHECK(network.latency_us >= 0.0 && network.bandwidth_gbs > 0.0,
-                "network parameters must be sane");
-  std::vector<ProjectionPoint> points;
-  double t1 = 0.0;
-  for (const int ranks : rank_counts) {
-    ProjectionPoint pt = project_one(spec, kernel, network, ranks, partition, overlap);
-    if (points.empty() && ranks == 1) {
-      t1 = pt.iteration_seconds;
-    }
-    if (t1 > 0.0) {
-      pt.speedup = t1 / pt.iteration_seconds;
-      pt.efficiency = pt.speedup / ranks;
-    }
-    points.push_back(pt);
-  }
-  return points;
+  return sweep(kernel, network, rank_counts, partition, overlap, /*weak=*/false,
+               [&spec](int) { return spec; });
 }
 
 std::vector<ProjectionPoint> projected_weak_scaling(
     const sem::BoxMeshSpec& spec, const DeviceKernelTime& kernel,
     const NetworkSpec& network, const std::vector<int>& rank_counts,
     runtime::PartitionKind partition, bool overlap) {
-  SEMFPGA_CHECK(static_cast<bool>(kernel), "kernel time function must be callable");
-  SEMFPGA_CHECK(network.latency_us >= 0.0 && network.bandwidth_gbs > 0.0,
-                "network parameters must be sane");
-  std::vector<ProjectionPoint> points;
-  double t1 = 0.0;
-  for (const int ranks : rank_counts) {
-    // Tile the per-rank box by the ideal rank grid: every rank keeps a
-    // constant block, so all efficiency loss is network-attributed.
-    const runtime::GridShape grid = runtime::ideal_grid(ranks, partition);
-    sem::BoxMeshSpec grown = spec;
-    grown.nelx = spec.nelx * grid.px;
-    grown.nely = spec.nely * grid.py;
-    grown.nelz = spec.nelz * grid.pz;
-    ProjectionPoint pt = project_one(grown, kernel, network, ranks, partition, overlap);
-    if (points.empty() && ranks == 1) {
-      t1 = pt.iteration_seconds;
-    }
-    if (t1 > 0.0) {
-      // Weak scaling: perfect growth keeps the iteration time flat.
-      pt.speedup = t1 / pt.iteration_seconds;
-      pt.efficiency = pt.speedup;
-    }
-    points.push_back(pt);
-  }
-  return points;
+  // Tile the per-rank box by the ideal rank grid: every rank keeps a
+  // constant block, so all efficiency loss is network-attributed.
+  return sweep(kernel, network, rank_counts, partition, overlap, /*weak=*/true,
+               [&spec, partition](int ranks) {
+                 const runtime::GridShape grid = runtime::ideal_grid(ranks, partition);
+                 sem::BoxMeshSpec grown = spec;
+                 grown.nelx = spec.nelx * grid.px;
+                 grown.nely = spec.nely * grid.py;
+                 grown.nelz = spec.nelz * grid.pz;
+                 return grown;
+               });
 }
 
 }  // namespace semfpga::arch

@@ -1,6 +1,9 @@
 #include "arch/network.hpp"
 
-#include <mutex>
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <string_view>
 #include <utility>
 
 #include "common/check.hpp"
@@ -8,49 +11,59 @@
 namespace semfpga::arch {
 namespace {
 
-/// Name -> spec, in registration order (the CLI help lists them in order).
-struct Registry {
-  std::mutex mutex;
-  std::vector<std::pair<std::string, NetworkSpec>> entries;
-
-  Registry() {
-    entries.emplace_back("eth-100g", NetworkSpec{1.5, 12.5});
-    entries.emplace_back("eth-10g", NetworkSpec{10.0, 1.25});
-    entries.emplace_back("ib-hdr", NetworkSpec{1.0, 25.0});
-    entries.emplace_back("fpga-serial", NetworkSpec{0.5, 5.0});
-  }
-};
-
-Registry& registry() {
-  static Registry instance;
-  return instance;
-}
+/// Name -> spec, in the order the CLI help lists them.
+constexpr std::array<std::pair<std::string_view, NetworkSpec>, 4> kPresets{{
+    {"eth-100g", NetworkSpec{1.5, 12.5}},
+    {"eth-10g", NetworkSpec{10.0, 1.25}},
+    {"ib-hdr", NetworkSpec{1.0, 25.0}},
+    {"fpga-serial", NetworkSpec{0.5, 5.0}},
+}};
 
 }  // namespace
 
+void check_network(const NetworkSpec& network) {
+  SEMFPGA_CHECK(network.latency_us >= 0.0 && network.bandwidth_gbs > 0.0,
+                "network parameters must be sane");
+}
+
+double message_seconds(const NetworkSpec& network, double bytes) noexcept {
+  return network.latency_us * 1e-6 + bytes / (network.bandwidth_gbs * 1e9);
+}
+
+double halo_seconds(const NetworkSpec& network, int n_neighbors,
+                    std::int64_t halo_doubles) noexcept {
+  return static_cast<double>(n_neighbors) * network.latency_us * 1e-6 +
+         static_cast<double>(halo_doubles) * 8.0 / (network.bandwidth_gbs * 1e9);
+}
+
+double allreduce_seconds(const NetworkSpec& network, int ranks) noexcept {
+  if (ranks <= 1) {
+    return 0.0;
+  }
+  const double hops = std::ceil(std::log2(static_cast<double>(ranks)));
+  return 2.0 * hops * network.latency_us * 1e-6;
+}
+
+double overlap_remainder(double halo_seconds, double budget_seconds) noexcept {
+  return std::max(0.0, halo_seconds - budget_seconds);
+}
+
 NetworkSpec network(const std::string& name) {
-  {
-    Registry& reg = registry();
-    const std::lock_guard<std::mutex> lock(reg.mutex);
-    for (const auto& [known, spec] : reg.entries) {
-      if (known == name) {
-        return spec;
-      }
+  for (const auto& [known, spec] : kPresets) {
+    if (known == name) {
+      return spec;
     }
   }
-  // Build the message outside the lock: known_networks_joined() re-locks.
   SEMFPGA_CHECK(false, "unknown network '" + name + "' (known: " +
                            known_networks_joined() + ")");
   return {};
 }
 
 std::vector<std::string> known_networks() {
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
   std::vector<std::string> names;
-  names.reserve(reg.entries.size());
-  for (const auto& [name, spec] : reg.entries) {
-    names.push_back(name);
+  names.reserve(kPresets.size());
+  for (const auto& [name, spec] : kPresets) {
+    names.emplace_back(name);
   }
   return names;
 }
@@ -64,21 +77,6 @@ std::string known_networks_joined() {
     joined += name;
   }
   return joined;
-}
-
-void register_network(const std::string& name, const NetworkSpec& spec) {
-  SEMFPGA_CHECK(!name.empty(), "network preset name must not be empty");
-  SEMFPGA_CHECK(spec.latency_us >= 0.0 && spec.bandwidth_gbs > 0.0,
-                "network parameters must be sane");
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  for (auto& [known, existing] : reg.entries) {
-    if (known == name) {
-      existing = spec;
-      return;
-    }
-  }
-  reg.entries.emplace_back(name, spec);
 }
 
 NetworkSpec parse_network_flag(const std::string& value) {

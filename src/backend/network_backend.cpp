@@ -1,7 +1,5 @@
 #include "backend/network_backend.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/check.hpp"
@@ -12,21 +10,13 @@ NetworkChargingBackend::NetworkChargingBackend(std::unique_ptr<Backend> inner,
                                                const NetworkChargeSpec& spec)
     : inner_(std::move(inner)), spec_(spec) {
   SEMFPGA_CHECK(inner_ != nullptr, "network decorator needs a backend to wrap");
-  SEMFPGA_CHECK(spec.network.latency_us >= 0.0 && spec.network.bandwidth_gbs > 0.0,
-                "network parameters must be sane");
+  arch::check_network(spec.network);
   SEMFPGA_CHECK(spec.n_ranks >= 1 && spec.n_neighbors >= 0 && spec.halo_doubles >= 0,
                 "network charge spec must describe a real rank");
   name_ = std::string("network[") + inner_->name() + "]";
-  if (spec.n_neighbors > 0) {
-    halo_full_seconds_ =
-        static_cast<double>(spec.n_neighbors) * spec.network.latency_us * 1e-6 +
-        static_cast<double>(spec.halo_doubles) * 8.0 /
-            (spec.network.bandwidth_gbs * 1e9);
-  }
-  if (spec.n_ranks > 1) {
-    const double hops = std::ceil(std::log2(static_cast<double>(spec.n_ranks)));
-    allreduce_seconds_ = 2.0 * hops * spec.network.latency_us * 1e-6;
-  }
+  halo_full_seconds_ =
+      arch::halo_seconds(spec.network, spec.n_neighbors, spec.halo_doubles);
+  allreduce_seconds_ = arch::allreduce_seconds(spec.network, spec.n_ranks);
 }
 
 FpgaTimeline& NetworkChargingBackend::ledger() noexcept {
@@ -52,7 +42,7 @@ void NetworkChargingBackend::charge_halo(bool use_budget) {
   // serialised network time.
   const double budget =
       use_budget && spec_.overlap ? spec_.interior_fraction * t.per_apply_seconds : 0.0;
-  const double charged = std::max(0.0, halo_full_seconds_ - budget);
+  const double charged = arch::overlap_remainder(halo_full_seconds_, budget);
   t.network_halo_exchanges += 1;
   t.network_halo_seconds += charged;
   t.network_overlap_saved_seconds += halo_full_seconds_ - charged;

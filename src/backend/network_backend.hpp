@@ -3,17 +3,15 @@
 /// Network-charging Backend decorator — the cluster-network analogue of
 /// FpgaSimBackend's device charging.
 ///
-/// Wraps any Backend and charges arch::NetworkSpec terms into a modeled
-/// timeline on top of whatever the inner backend already charges:
+/// Wraps any Backend and charges the arch/network.hpp costs into a
+/// modeled timeline on top of whatever the inner backend already charges:
 ///
-///  * operator applies and standalone qqt() — one halo exchange: a
-///    latency per grid neighbour plus the rank's halo bytes over the
-///    link.  When the runtime overlaps (apply paths only), the interior
-///    fraction of the inner device's per-apply time hides halo time, and
-///    only the positive remainder is charged; the hidden part is recorded
-///    as network_overlap_saved_seconds.
-///  * reduce() — one ordered allreduce: 2 * ceil(log2 ranks) hop
-///    latencies (fan-in + fan-out tree).
+///  * operator applies and standalone qqt() — one arch::halo_seconds
+///    exchange.  When the runtime overlaps (apply paths only), the
+///    interior fraction of the inner device's per-apply time is the
+///    arch::overlap_remainder budget; the hidden part is recorded as
+///    network_overlap_saved_seconds.
+///  * reduce() — one arch::allreduce_seconds ordered allreduce.
 ///
 /// Charges land in the inner backend's own ledger when it has one
 /// (Backend::mutable_timeline — the distributed fpga-sim tier), so
@@ -26,7 +24,7 @@
 #include <memory>
 #include <string>
 
-#include "arch/cluster_model.hpp"
+#include "arch/network.hpp"
 #include "backend/backend.hpp"
 #include "backend/fpga_sim_backend.hpp"
 

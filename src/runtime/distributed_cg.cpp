@@ -102,6 +102,17 @@ void gather_elements(std::span<const double> global, std::span<double> local,
   return be;
 }
 
+/// The slowest rank's modeled total: ranks meet at every allreduce, so
+/// the modeled solve lasts as long as its most expensive rank.
+[[nodiscard]] double slowest_rank_seconds(
+    const std::vector<backend::FpgaTimeline>& timelines) {
+  double worst = 0.0;
+  for (const backend::FpgaTimeline& t : timelines) {
+    worst = std::max(worst, t.total_seconds());
+  }
+  return worst;
+}
+
 }  // namespace
 
 DistributedSolveResult solve_distributed_poisson(const DistributedSolveConfig& config) {
@@ -125,6 +136,7 @@ DistributedSolveResult solve_distributed_poisson(const DistributedSolveConfig& c
   out.n_local = global_mesh.n_local();
   out.x.assign(out.n_local, 0.0);
   out.halo_dofs = part.max_halo_doubles();
+  out.rank_timelines.resize(static_cast<std::size_t>(config.ranks));
 
   const std::size_t ppe = global_mesh.points_per_element();
   spmd_run(fabric, config.threads, [&](const RankEnv& env) {
@@ -160,14 +172,15 @@ DistributedSolveResult solve_distributed_poisson(const DistributedSolveConfig& c
     // before the driver reads out.x.
     scatter_elements(x, std::span<double>(out.x.data(), out.n_local),
                      std::span<const std::int64_t>(rs.element_global_ids()), ppe);
+    if (const backend::FpgaTimeline* t = be->timeline()) {
+      out.rank_timelines[static_cast<std::size_t>(env.rank)] = *t;
+    }
     if (env.rank == 0) {
       out.solve_seconds = timer.seconds();
       out.cg = cg;
-      if (const backend::FpgaTimeline* t = be->timeline()) {
-        out.modeled_seconds = t->total_seconds();
-      }
     }
   });
+  out.modeled_seconds = slowest_rank_seconds(out.rank_timelines);
   return out;
 }
 
@@ -310,7 +323,8 @@ ResilientSolveResult solve_distributed_resilient(const ResilientSolveConfig& con
 
     solver::CgResult attempt_cg;
     solver::ResilienceReport attempt_report;
-    double attempt_modeled = 0.0;
+    std::vector<backend::FpgaTimeline> attempt_timelines(
+        static_cast<std::size_t>(ranks));
     try {
       spmd_run(fab, base.threads, [&](const RankEnv& env) {
         const RankSystemOptions system_options{base.operator_kind,
@@ -360,13 +374,13 @@ ResilientSolveResult solve_distributed_resilient(const ResilientSolveConfig& con
         env.fabric->barrier(env.rank);
         scatter_elements(x, std::span<double>(out.solve.x.data(), n_global), ids,
                          ppe);
+        if (const backend::FpgaTimeline* t = be->timeline()) {
+          attempt_timelines[static_cast<std::size_t>(env.rank)] = *t;
+        }
         if (env.rank == 0) {
           out.solve.solve_seconds += timer.seconds();
           attempt_cg = solved.cg;
           attempt_report = solved.report;
-          if (const backend::FpgaTimeline* t = be->timeline()) {
-            attempt_modeled = t->total_seconds();
-          }
         }
       });
     } catch (const InjectedRankFailure& crash) {
@@ -440,7 +454,8 @@ ResilientSolveResult solve_distributed_resilient(const ResilientSolveConfig& con
     out.solve.ranks = ranks;
     out.solve.threads_per_rank = team_threads(base.threads, ranks);
     out.solve.halo_dofs = part.max_halo_doubles();
-    out.solve.modeled_seconds = attempt_modeled;
+    out.solve.modeled_seconds = slowest_rank_seconds(attempt_timelines);
+    out.solve.rank_timelines = std::move(attempt_timelines);
     out.final_ranks = ranks;
     return out;
   }

@@ -20,8 +20,10 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "backend/backend.hpp"
+#include "backend/fpga_sim_backend.hpp"
 #include "runtime/fabric.hpp"
 #include "runtime/rank_system.hpp"
 #include "runtime/spmd.hpp"
@@ -68,7 +70,7 @@ struct DistributedSolveConfig {
   /// Modeled interconnect, "" = none.  A preset name (arch::known_networks:
   /// "eth-100g", ...) or inline "LAT_US:BW_GBS".  When set, each rank's
   /// backend is wrapped in a backend::NetworkChargingBackend, so
-  /// DistributedSolveResult::modeled_seconds includes the network terms
+  /// DistributedSolveResult::rank_timelines include the network terms
   /// (halo latency+bytes, log-tree allreduces, minus the overlap credit).
   /// Numerics are untouched.
   std::string network;
@@ -108,8 +110,13 @@ struct DistributedSolveResult {
   int threads_per_rank = 1;
   double solve_seconds = 0.0;     ///< CG wall time, barrier-to-barrier
   std::int64_t halo_dofs = 0;     ///< max per-rank doubles per exchange
-  /// Modeled per-rank FPGA time ("fpga-sim" backend; rank 0's ledger,
-  /// slabs are near-equal).  0 when executing on the cpu backend.
+  /// Each rank's modeled ledger ("fpga-sim" device terms and/or the
+  /// configured network's terms), indexed by rank; all-zero entries for
+  /// ranks whose backend keeps no ledger.
+  std::vector<backend::FpgaTimeline> rank_timelines;
+  /// Modeled solve time: the slowest rank's ledger total (the ranks meet
+  /// at every allreduce, so the solve lasts as long as its worst rank).
+  /// 0 on the cpu backend without a network.
   double modeled_seconds = 0.0;
 };
 

@@ -1,7 +1,6 @@
 #include "runtime/latency_fabric.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <thread>
 
 #include "common/check.hpp"
@@ -27,19 +26,14 @@ double FaultDelayPolicy::collective_delay_seconds(int /*rank*/) { return 0.0; }
 ModeledNetworkPolicy::ModeledNetworkPolicy(const arch::NetworkSpec& network,
                                            int n_ranks)
     : network_(network) {
-  SEMFPGA_CHECK(network.latency_us >= 0.0 && network.bandwidth_gbs > 0.0,
-                "network parameters must be sane");
+  arch::check_network(network);
   SEMFPGA_CHECK(n_ranks >= 1, "network policy needs at least one rank");
-  if (n_ranks > 1) {
-    const double hops = std::ceil(std::log2(static_cast<double>(n_ranks)));
-    collective_seconds_ = 2.0 * hops * network.latency_us * 1e-6;
-  }
+  collective_seconds_ = arch::allreduce_seconds(network, n_ranks);
 }
 
 double ModeledNetworkPolicy::send_delay_seconds(int /*from*/, int /*to*/,
                                                 std::size_t bytes) {
-  return network_.latency_us * 1e-6 +
-         static_cast<double>(bytes) / (network_.bandwidth_gbs * 1e9);
+  return arch::message_seconds(network_, static_cast<double>(bytes));
 }
 
 double ModeledNetworkPolicy::collective_delay_seconds(int /*rank*/) {

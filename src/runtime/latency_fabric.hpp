@@ -15,10 +15,11 @@
 ///    sleeps inline: a delayed link is a latency property of the fabric,
 ///    not a payload corruption.
 ///  * ModeledNetworkPolicy — an arch::NetworkSpec charged in real time:
-///    latency + bytes/bandwidth per point-to-point message, a log-tree
-///    latency per ordered allreduce.  Running the in-process runtime under
-///    this policy makes the measured solve exhibit the same network terms
-///    bench/cluster_projection charges analytically.
+///    arch::message_seconds per point-to-point message,
+///    arch::allreduce_seconds per ordered allreduce.  Running the
+///    in-process runtime under this policy makes the measured solve
+///    exhibit the same network terms bench/cluster_projection charges
+///    analytically.
 ///
 /// Policies compose: delays add, so a faulted link under a modeled network
 /// is simply slower than its peers.
@@ -27,7 +28,7 @@
 #include <memory>
 #include <vector>
 
-#include "arch/cluster_model.hpp"
+#include "arch/network.hpp"
 #include "runtime/fabric.hpp"
 
 namespace semfpga::runtime {
@@ -58,8 +59,7 @@ class FaultDelayPolicy final : public LatencyPolicy {
 };
 
 /// Charges an arch::NetworkSpec in real time: every message pays
-/// latency + bytes/bandwidth, every collective entry the 2*ceil(log2 R)
-/// hop latencies of the fan-in/fan-out reduction tree.
+/// arch::message_seconds, every collective entry arch::allreduce_seconds.
 class ModeledNetworkPolicy final : public LatencyPolicy {
  public:
   ModeledNetworkPolicy(const arch::NetworkSpec& network, int n_ranks);

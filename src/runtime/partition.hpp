@@ -2,19 +2,17 @@
 /// \file partition.hpp
 /// First-class structured-grid partitions for the distributed tier.
 ///
-/// The original runtime hard-coded z-slab decomposition (one contiguous
-/// range of element layers per rank, solver::partition_slabs).  This file
-/// generalises that to a rank grid over all three element axes:
+/// A rank grid over all three element axes:
 ///
-///   * kSlab    — (1, 1, R): the historical decomposition, unchanged,
+///   * kSlab    — (1, 1, R): z-slabs, one contiguous range of element
+///                layers per rank (the historical decomposition),
 ///   * kPencil  — (px, py, 1): x/y pencils, full z extent per rank,
 ///   * kBlock3d — (px, py, pz): full 3D blocks.
 ///
-/// Every axis is split with the same remainder-first rule partition_slabs
-/// uses (the first `extent % parts` blocks get one extra element layer), so
-/// partition_blocks(spec, R, kSlab) reproduces partition_slabs(spec, R)
-/// range for range.  Rank numbering is x-fastest: rank = (bz*py + by)*px +
-/// bx, which again degenerates to rank == bz for slabs.
+/// Every axis is split with the same remainder-first rule (the first
+/// `extent % parts` blocks get one extra element layer).  Rank numbering
+/// is x-fastest: rank = (bz*py + by)*px + bx, which degenerates to
+/// rank == bz for slabs.
 ///
 /// The per-rank halo accounting is exact for the raw-copy exchange protocol
 /// of runtime::BlockHalo: a rank sends, to each of its <= 26 grid

@@ -18,7 +18,16 @@ struct SolveScope {
   backend::Backend& backend;
 };
 
+/// P = I: z aliases r and rho == rr, so the preconditioner pass vanishes.
+bool identity_preconditioned(const CgOptions& options) {
+  return !options.preconditioner && !options.use_jacobi;
+}
+
 }  // namespace
+
+int reductions_per_iteration(const CgOptions& options) {
+  return identity_preconditioned(options) ? 2 : 3;
+}
 
 /// Each CG iteration is three fused passes plus the operator:
 ///   1. w = A p, pw = <p, w>_c           (operator + one weighted dot; the
@@ -49,7 +58,7 @@ CgResult solve_cg(backend::Backend& backend, std::span<const double> b,
 
   const auto& diag = backend.jacobi_diagonal();
   const auto& c = backend.inv_multiplicity();
-  const bool identity_precond = !options.preconditioner && !options.use_jacobi;
+  const bool identity_precond = identity_preconditioned(options);
 
   aligned_vector<double> r(n);
   aligned_vector<double> z(identity_precond ? 0 : n);

@@ -120,6 +120,13 @@ struct CgResult {
   std::vector<double> residual_history;
 };
 
+/// Global reductions one solve_cg iteration issues — each one an ordered
+/// allreduce on a collective backend: <p, Ap>, <r, r>, and the
+/// preconditioned <r, z> unless P = I lets rho reuse rr.  So 3 for Jacobi
+/// (and custom) preconditioning, 2 for identity.  The cluster model
+/// (arch/cluster_model.hpp) charges this many allreduces per iteration.
+[[nodiscard]] int reductions_per_iteration(const CgOptions& options);
+
 /// Solves the backend's operator equation apply(x) == b for x (overwritten;
 /// initial guess honoured).  This is THE CG loop: every execution tier —
 /// host engine (CpuBackend), modeled FPGA (FpgaSimBackend), SPMD rank

@@ -1,9 +1,32 @@
+/// The partition-aware cluster model on z-slabs: scaling shape (linear on
+/// a free network, bounded and decaying efficiency, a latency floor),
+/// network terms that follow the interface area and vanish on one rank,
+/// flat weak scaling, and input validation.
+
 #include "arch/cluster_model.hpp"
 
 #include <gtest/gtest.h>
 
 namespace semfpga::arch {
 namespace {
+
+constexpr runtime::PartitionKind kSlab = runtime::PartitionKind::kSlab;
+
+std::vector<ProjectionPoint> strong(const sem::BoxMeshSpec& spec,
+                                    const DeviceKernelTime& kernel,
+                                    const NetworkSpec& network,
+                                    const std::vector<int>& ranks) {
+  return projected_strong_scaling(spec, kernel, network, ranks, kSlab,
+                                  /*overlap=*/false);
+}
+
+std::vector<ProjectionPoint> weak(const sem::BoxMeshSpec& spec,
+                                  const DeviceKernelTime& kernel,
+                                  const NetworkSpec& network,
+                                  const std::vector<int>& ranks) {
+  return projected_weak_scaling(spec, kernel, network, ranks, kSlab,
+                                /*overlap=*/false);
+}
 
 sem::BoxMeshSpec big_spec() {
   sem::BoxMeshSpec spec;
@@ -24,9 +47,9 @@ TEST(ClusterModel, PerfectScalingWithoutNetworkCosts) {
   NetworkSpec free_net;
   free_net.latency_us = 0.0;
   free_net.bandwidth_gbs = 1e9;
-  const auto points = strong_scaling(big_spec(), linear_kernel(0.0, 1e-6), free_net,
-                                     {1, 2, 4, 8});
-  for (const ScalingPoint& p : points) {
+  const auto points =
+      strong(big_spec(), linear_kernel(0.0, 1e-6), free_net, {1, 2, 4, 8});
+  for (const ProjectionPoint& p : points) {
     EXPECT_NEAR(p.speedup, static_cast<double>(p.ranks), 1e-6) << p.ranks;
     EXPECT_NEAR(p.efficiency, 1.0, 1e-6) << p.ranks;
   }
@@ -34,9 +57,9 @@ TEST(ClusterModel, PerfectScalingWithoutNetworkCosts) {
 
 TEST(ClusterModel, SpeedupIsBoundedByRanks) {
   const NetworkSpec net;
-  const auto points = strong_scaling(big_spec(), linear_kernel(10e-6, 1e-6), net,
-                                     {1, 2, 4, 8, 16, 32});
-  for (const ScalingPoint& p : points) {
+  const auto points =
+      strong(big_spec(), linear_kernel(10e-6, 1e-6), net, {1, 2, 4, 8, 16, 32});
+  for (const ProjectionPoint& p : points) {
     EXPECT_LE(p.speedup, static_cast<double>(p.ranks) + 1e-9) << p.ranks;
     EXPECT_GT(p.speedup, 0.0);
   }
@@ -44,8 +67,8 @@ TEST(ClusterModel, SpeedupIsBoundedByRanks) {
 
 TEST(ClusterModel, EfficiencyDecreasesWithRanks) {
   const NetworkSpec net;
-  const auto points = strong_scaling(big_spec(), linear_kernel(10e-6, 1e-6), net,
-                                     {1, 2, 4, 8, 16, 32});
+  const auto points =
+      strong(big_spec(), linear_kernel(10e-6, 1e-6), net, {1, 2, 4, 8, 16, 32});
   for (std::size_t i = 1; i < points.size(); ++i) {
     EXPECT_LE(points[i].efficiency, points[i - 1].efficiency + 1e-9)
         << points[i].ranks;
@@ -57,9 +80,8 @@ TEST(ClusterModel, LatencyFloorsTheIterationTime) {
   // network terms alone.
   NetworkSpec net;
   net.latency_us = 5.0;
-  const auto points =
-      strong_scaling(big_spec(), linear_kernel(0.0, 1e-9), net, {1, 32});
-  const ScalingPoint& p32 = points.back();
+  const auto points = strong(big_spec(), linear_kernel(0.0, 1e-9), net, {1, 32});
+  const ProjectionPoint& p32 = points.back();
   EXPECT_GT(p32.allreduce_seconds + p32.halo_seconds,
             0.9 * p32.iteration_seconds);
 }
@@ -68,15 +90,15 @@ TEST(ClusterModel, HaloBytesScaleWithTheInterfaceArea) {
   const NetworkSpec net;
   sem::BoxMeshSpec small = big_spec();
   small.nelx = small.nely = 4;
-  const auto big = strong_scaling(big_spec(), linear_kernel(0.0, 1e-6), net, {1, 4});
-  const auto little = strong_scaling(small, linear_kernel(0.0, 1e-6), net, {1, 4});
+  const auto big = strong(big_spec(), linear_kernel(0.0, 1e-6), net, {1, 4});
+  const auto little = strong(small, linear_kernel(0.0, 1e-6), net, {1, 4});
   // 16x the interface area -> larger halo time.
   EXPECT_GT(big.back().halo_seconds, little.back().halo_seconds);
 }
 
 TEST(ClusterModel, SingleRankHasNoNetworkTerms) {
   const NetworkSpec net;
-  const auto points = strong_scaling(big_spec(), linear_kernel(1e-5, 1e-6), net, {1});
+  const auto points = strong(big_spec(), linear_kernel(1e-5, 1e-6), net, {1});
   EXPECT_DOUBLE_EQ(points[0].halo_seconds, 0.0);
   EXPECT_DOUBLE_EQ(points[0].allreduce_seconds, 0.0);
 }
@@ -89,9 +111,9 @@ TEST(ClusterModel, WeakScalingIsFlatWithoutNetworkCosts) {
   free_net.bandwidth_gbs = 1e9;
   sem::BoxMeshSpec per_rank = big_spec();
   per_rank.nelz = 4;  // layers each rank keeps
-  const auto points = weak_scaling(per_rank, linear_kernel(0.0, 1e-6), free_net,
-                                   {1, 2, 4, 8});
-  for (const ScalingPoint& p : points) {
+  const auto points =
+      weak(per_rank, linear_kernel(0.0, 1e-6), free_net, {1, 2, 4, 8});
+  for (const ProjectionPoint& p : points) {
     EXPECT_NEAR(p.efficiency, 1.0, 1e-9) << p.ranks;
     EXPECT_NEAR(p.iteration_seconds, points[0].iteration_seconds, 1e-12) << p.ranks;
   }
@@ -101,8 +123,8 @@ TEST(ClusterModel, WeakScalingEfficiencyDecaysWithTheAllreduceDepth) {
   const NetworkSpec net;  // real latency
   sem::BoxMeshSpec per_rank = big_spec();
   per_rank.nelz = 2;
-  const auto points = weak_scaling(per_rank, linear_kernel(0.0, 1e-6), net,
-                                   {1, 2, 4, 8, 16});
+  const auto points =
+      weak(per_rank, linear_kernel(0.0, 1e-6), net, {1, 2, 4, 8, 16});
   for (std::size_t i = 1; i < points.size(); ++i) {
     EXPECT_LT(points[i].efficiency, 1.0) << points[i].ranks;
     EXPECT_LE(points[i].efficiency, points[i - 1].efficiency + 1e-12)
@@ -114,13 +136,35 @@ TEST(ClusterModel, WeakScalingEfficiencyDecaysWithTheAllreduceDepth) {
 
 TEST(ClusterModel, RejectsBadInputs) {
   const NetworkSpec net;
-  EXPECT_THROW((void)strong_scaling(big_spec(), DeviceKernelTime{}, net, {1}),
+  EXPECT_THROW((void)strong(big_spec(), DeviceKernelTime{}, net, {1}),
                std::invalid_argument);
   NetworkSpec bad = net;
   bad.bandwidth_gbs = 0.0;
-  EXPECT_THROW(
-      (void)strong_scaling(big_spec(), linear_kernel(0.0, 1e-6), bad, {1}),
-      std::invalid_argument);
+  EXPECT_THROW((void)strong(big_spec(), linear_kernel(0.0, 1e-6), bad, {1}),
+               std::invalid_argument);
+  // More slab ranks than z element layers cannot be partitioned.
+  EXPECT_THROW((void)strong(big_spec(), linear_kernel(0.0, 1e-6), net, {1, 64}),
+               std::invalid_argument);
+}
+
+TEST(ClusterModel, ChargesTheClosedFormNetworkTermsOfTheWorstRank) {
+  // 4 slabs of 8 layers: the middle ranks are the worst, with two
+  // neighbours, each sent one raw-copy plane of nelx(N+1) x nely(N+1)
+  // doubles.  The allreduce term is the Jacobi CG iteration's three
+  // reductions.
+  const NetworkSpec net{10.0, 1.0};
+  const sem::BoxMeshSpec spec = big_spec();
+  const auto points = strong(spec, linear_kernel(0.0, 1e-6), net, {4});
+  const ProjectionPoint& p = points.front();
+  const std::int64_t plane = (spec.nelx * (spec.degree + 1)) *
+                             static_cast<std::int64_t>(spec.nely * (spec.degree + 1));
+  EXPECT_EQ(p.grid.pz, 4);
+  EXPECT_EQ(p.max_elements, 16 * 16 * 8);
+  EXPECT_DOUBLE_EQ(p.halo_full_seconds, halo_seconds(net, 2, 2 * plane));
+  EXPECT_DOUBLE_EQ(p.halo_seconds, p.halo_full_seconds);  // overlap off
+  EXPECT_DOUBLE_EQ(p.allreduce_seconds, 3.0 * allreduce_seconds(net, 4));
+  EXPECT_DOUBLE_EQ(p.iteration_seconds,
+                   p.ax_seconds + p.halo_seconds + p.allreduce_seconds);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-/// The interconnect preset registry and the shared `--network=` flag
-/// grammar: every consumer (analytic projection, real-time latency policy,
-/// network-charging backend) resolves specs through this one seam, so its
-/// presets, extension point and error behaviour are contracts.
+/// The interconnect presets, the shared `--network=` flag grammar and the
+/// closed-form network costs: every consumer (analytic projection,
+/// real-time latency policy, network-charging backend) resolves specs and
+/// charges seconds through this one seam, so its presets, formulas and
+/// error behaviour are contracts.
 
 #include <stdexcept>
 #include <string>
@@ -50,15 +51,6 @@ TEST(NetworkRegistry, UnknownPresetThrowsListingKnownNames) {
   }
 }
 
-TEST(NetworkRegistry, RegisterNetworkRoundTrips) {
-  register_network("test-fabric", NetworkSpec{3.25, 42.0});
-  const NetworkSpec got = network("test-fabric");
-  EXPECT_DOUBLE_EQ(got.latency_us, 3.25);
-  EXPECT_DOUBLE_EQ(got.bandwidth_gbs, 42.0);
-  // The flag parser sees registered presets too.
-  EXPECT_DOUBLE_EQ(parse_network_flag("test-fabric").bandwidth_gbs, 42.0);
-}
-
 TEST(NetworkFlag, ParsesPresetsAndInlinePairs) {
   EXPECT_DOUBLE_EQ(parse_network_flag("ib-hdr").bandwidth_gbs, 25.0);
   const NetworkSpec inline_spec = parse_network_flag("3.0:7.5");
@@ -72,6 +64,42 @@ TEST(NetworkFlag, RejectsMalformedValues) {
     EXPECT_THROW((void)parse_network_flag(bad), std::invalid_argument)
         << "value '" << bad << "'";
   }
+}
+
+TEST(NetworkCost, MessageIsLatencyPlusBytesOverBandwidth) {
+  // 10 us latency, 1 GB/s: an 8000-byte message costs 10e-6 + 8e-6 s.
+  EXPECT_DOUBLE_EQ(message_seconds(NetworkSpec{10.0, 1.0}, 8000.0), 1.8e-5);
+  EXPECT_DOUBLE_EQ(message_seconds(NetworkSpec{10.0, 1.0}, 0.0), 1.0e-5);
+}
+
+TEST(NetworkCost, HaloPaysOneLatencyPerNeighbourPlusItsBytes) {
+  const NetworkSpec net{10.0, 1.0};
+  EXPECT_DOUBLE_EQ(halo_seconds(net, 2, 1000), 2.0 * 10.0e-6 + 8000.0 / 1e9);
+  EXPECT_DOUBLE_EQ(halo_seconds(net, 26, 0), 26.0 * 10.0e-6);
+  // A rank without neighbours exchanges nothing.
+  EXPECT_EQ(halo_seconds(net, 0, 0), 0.0);
+}
+
+TEST(NetworkCost, AllreduceClimbsAFanInFanOutLogTree) {
+  const NetworkSpec net{10.0, 1.0};
+  EXPECT_EQ(allreduce_seconds(net, 1), 0.0);
+  EXPECT_DOUBLE_EQ(allreduce_seconds(net, 2), 2.0 * 1.0 * 10.0e-6);
+  EXPECT_DOUBLE_EQ(allreduce_seconds(net, 3), 2.0 * 2.0 * 10.0e-6);
+  EXPECT_DOUBLE_EQ(allreduce_seconds(net, 4), 2.0 * 2.0 * 10.0e-6);
+  EXPECT_DOUBLE_EQ(allreduce_seconds(net, 1024), 2.0 * 10.0 * 10.0e-6);
+}
+
+TEST(NetworkCost, OverlapHidesAtMostTheWholeHalo) {
+  EXPECT_DOUBLE_EQ(overlap_remainder(3.0e-5, 1.0e-5), 2.0e-5);
+  EXPECT_EQ(overlap_remainder(3.0e-5, 5.0e-5), 0.0);
+  EXPECT_EQ(overlap_remainder(3.0e-5, 0.0), 3.0e-5);
+}
+
+TEST(NetworkCost, CheckNetworkRejectsInsaneSpecs) {
+  EXPECT_NO_THROW(check_network(NetworkSpec{}));
+  EXPECT_NO_THROW(check_network(NetworkSpec{0.0, 1.0}));
+  EXPECT_THROW(check_network(NetworkSpec{-1.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(check_network(NetworkSpec{1.0, 0.0}), std::invalid_argument);
 }
 
 }  // namespace

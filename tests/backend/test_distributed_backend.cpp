@@ -66,6 +66,37 @@ TEST(DistributedBackend, FpgaSimRanksMatchSingleRankCpuBitwise) {
   }
 }
 
+TEST(DistributedBackend, ModeledSecondsIsTheSlowestRanksLedger) {
+  // Three one-layer z-slabs: every rank models the same device work, but
+  // the middle rank exchanges two halo planes per apply and the end ranks
+  // one.  The ranks meet at every allreduce, so the modeled solve lasts as
+  // long as the middle rank.
+  constexpr int kIterations = 4;
+  runtime::DistributedSolveConfig config = base_config();
+  config.spec.nelz = 3;
+  config.ranks = 3;
+  config.threads = 3;
+  config.backend = "fpga-sim";
+  config.cg.max_iterations = kIterations;
+  const double device_only = runtime::solve_distributed_poisson(config).modeled_seconds;
+  config.network = "10:1";  // 10 us, 1 GB/s
+  const double networked = runtime::solve_distributed_poisson(config).modeled_seconds;
+
+  const double latency = 10e-6;
+  const double bytes_per_second = 1e9;
+  // One raw-copy plane per interface: nelx(N+1) x nely(N+1) doubles.
+  const double plane_bytes = 8.0 * (2 * 4) * (2 * 4);
+  const double middle_halo = 2.0 * latency + 2.0 * plane_bytes / bytes_per_second;
+  // Jacobi CG: one apply and two reductions to start, then one apply and
+  // three reductions per iteration; each reduction is a 2*ceil(log2 3) =
+  // 4-hop allreduce.
+  const double applies = 1.0 + kIterations;
+  const double reductions = 2.0 + 3.0 * kIterations;
+  const double expected =
+      device_only + applies * middle_halo + reductions * 4.0 * latency;
+  EXPECT_NEAR(networked, expected, 1e-12 * expected);
+}
+
 TEST(DistributedBackend, RejectsUnknownBackendNames) {
   runtime::DistributedSolveConfig config = base_config();
   config.ranks = 2;

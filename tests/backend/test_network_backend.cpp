@@ -1,16 +1,22 @@
 /// NetworkChargingBackend contracts: the decorator charges exactly the
 /// NetworkSpec terms (halo latency + bytes, log-tree allreduce), the
 /// overlap budget hides only the interior fraction of the modeled apply —
-/// and only on apply paths, never on the standalone qqt — and no bit of
-/// any numeric result changes.
+/// and only on apply paths, never on the standalone qqt — no bit of any
+/// numeric result changes, and the worst rank's per-iteration charges of a
+/// real distributed solve equal what the cluster model projects.
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "arch/cluster_model.hpp"
 #include "backend/backend.hpp"
 #include "backend/network_backend.hpp"
+#include "runtime/distributed_cg.hpp"
 #include "solver/poisson_system.hpp"
 
 namespace semfpga::backend {
@@ -154,6 +160,111 @@ TEST(NetworkChargingBackend, SingleRankChargesNothing) {
   EXPECT_EQ(t->network_halo_exchanges, 0);
   EXPECT_DOUBLE_EQ(t->network_halo_seconds, 0.0);
   EXPECT_DOUBLE_EQ(t->network_allreduce_seconds, 0.0);
+}
+
+void expect_relative(double got, double want, const std::string& what) {
+  EXPECT_LE(std::abs(got - want), 1e-12 * std::max(std::abs(got), std::abs(want)))
+      << what << ": ledger " << got << " vs model " << want;
+}
+
+/// The model is pinned to the ledger: small distributed fpga-sim solves
+/// with a network, per partition kind x overlap.  A rank's per-iteration
+/// charge is the difference of its ledgers after k+1 and k iterations.
+/// The worst rank is chosen from the ledgers alone by the model's own rule
+/// (kernel + charged halo, ties toward the larger full halo); its halo and
+/// allreduce terms must equal project_one's, with the ledger's per-apply
+/// device time as the model's kernel time.
+TEST(NetworkChargingBackend, WorstRankLedgerMatchesTheClusterProjection) {
+  constexpr int kIterations = 3;
+  const std::string flag = "10:1";  // 10 us, 1 GB/s: halo ~ apply time
+  struct Case {
+    runtime::PartitionKind kind;
+    int ranks;
+  };
+  // 6^3 elements: uneven slabs (2,2,1,1 layers), 2x2 pencils and 2x2x2
+  // blocks (both with interior elements to overlap).
+  const Case cases[] = {{runtime::PartitionKind::kSlab, 4},
+                        {runtime::PartitionKind::kPencil, 4},
+                        {runtime::PartitionKind::kBlock3d, 8}};
+  for (const Case& c : cases) {
+    for (const bool overlap : {false, true}) {
+      const std::string label = std::string(runtime::partition_kind_name(c.kind)) +
+                                (overlap ? " overlap" : " no-overlap");
+      runtime::DistributedSolveConfig config;
+      config.spec.degree = 2;
+      config.spec.nelx = config.spec.nely = config.spec.nelz = 6;
+      config.ranks = c.ranks;
+      config.threads = c.ranks;
+      config.partition = c.kind;
+      config.overlap = overlap;
+      config.backend = "fpga-sim";
+      config.network = flag;
+      config.cg.tolerance = 0.0;
+      config.forcing = [](double x, double y, double z) {
+        return std::sin(x) * std::cos(y) + z;
+      };
+      config.cg.max_iterations = kIterations;
+      const runtime::DistributedSolveResult k = runtime::solve_distributed_poisson(config);
+      config.cg.max_iterations = kIterations + 1;
+      const runtime::DistributedSolveResult k1 = runtime::solve_distributed_poisson(config);
+      ASSERT_EQ(k1.rank_timelines.size(), static_cast<std::size_t>(c.ranks)) << label;
+
+      const runtime::BlockPartition part =
+          runtime::partition_blocks(config.spec, c.ranks, c.kind);
+      std::map<std::int64_t, double> kernel_by_elements;
+      int worst = -1;
+      double worst_time = -1.0;
+      double worst_full = 0.0;
+      for (int r = 0; r < c.ranks; ++r) {
+        const FpgaTimeline& before = k.rank_timelines[static_cast<std::size_t>(r)];
+        const FpgaTimeline& after = k1.rank_timelines[static_cast<std::size_t>(r)];
+        const std::int64_t elements = part.ranks[static_cast<std::size_t>(r)].n_elements;
+        const auto [it, fresh] =
+            kernel_by_elements.emplace(elements, after.per_apply_seconds);
+        ASSERT_TRUE(fresh || it->second == after.per_apply_seconds)
+            << label << ": per-apply time must depend on the element count only";
+        const double halo = after.network_halo_seconds - before.network_halo_seconds;
+        const double full = halo + after.network_overlap_saved_seconds -
+                            before.network_overlap_saved_seconds;
+        const double time = after.per_apply_seconds + halo;
+        if (time > worst_time || (time == worst_time && full > worst_full)) {
+          worst = r;
+          worst_time = time;
+          worst_full = full;
+        }
+      }
+      // The reported modeled time is the slowest rank's ledger.
+      double slowest = 0.0;
+      for (const FpgaTimeline& t : k1.rank_timelines) {
+        slowest = std::max(slowest, t.total_seconds());
+      }
+      EXPECT_EQ(k1.modeled_seconds, slowest) << label;
+
+      const arch::DeviceKernelTime kernel = [&](std::int64_t n) {
+        return kernel_by_elements.at(n);
+      };
+      const arch::ProjectionPoint pt =
+          arch::projected_strong_scaling(config.spec, kernel,
+                                         arch::parse_network_flag(flag), {c.ranks},
+                                         c.kind, overlap)
+              .front();
+      const FpgaTimeline& before = k.rank_timelines[static_cast<std::size_t>(worst)];
+      const FpgaTimeline& after = k1.rank_timelines[static_cast<std::size_t>(worst)];
+      EXPECT_EQ(after.per_apply_seconds, pt.ax_seconds) << label;
+      expect_relative(after.network_halo_seconds - before.network_halo_seconds,
+                      pt.halo_seconds, label + " halo");
+      expect_relative(after.network_overlap_saved_seconds -
+                          before.network_overlap_saved_seconds,
+                      pt.overlap_saved_seconds, label + " overlap credit");
+      expect_relative(after.network_allreduce_seconds - before.network_allreduce_seconds,
+                      pt.allreduce_seconds, label + " allreduce");
+      EXPECT_GT(pt.halo_seconds, 0.0) << label;
+      if (overlap && c.kind != runtime::PartitionKind::kSlab) {
+        // Not vacuous: overlap hides part, not all, of the worst halo.
+        EXPECT_GT(pt.overlap_saved_seconds, 0.0) << label;
+      }
+    }
+  }
 }
 
 }  // namespace

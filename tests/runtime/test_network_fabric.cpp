@@ -18,6 +18,11 @@
 namespace semfpga::runtime {
 namespace {
 
+/// Ranks of the exchange and allreduce slots each one owns: rank r owns
+/// slots [2r, 2r+2), so the slot table is tiled by disjoint writes.
+constexpr int kRanks = 2;
+constexpr std::size_t kSlotsPerRank = 2;
+
 /// One exchange + both allreduce flavours over `fab`, returning everything
 /// a decorator could corrupt: the received payload and the reduction
 /// results per rank.
@@ -28,7 +33,7 @@ struct ExchangeResult {
 };
 
 ExchangeResult run_exchange(Fabric& fab) {
-  ExchangeResult results[2];
+  ExchangeResult results[kRanks];
   spmd_run(fab, 1, [&](const RankEnv& env) {
     ExchangeResult& r = results[env.rank];
     // Values with non-trivial mantissas so bit-level corruption would show.
@@ -41,9 +46,13 @@ ExchangeResult run_exchange(Fabric& fab) {
     }
     const std::vector<double> contribution = {0.1 * (env.rank + 1),
                                               0.2 * (env.rank + 1)};
+    const std::size_t first = kSlotsPerRank * static_cast<std::size_t>(env.rank);
     r.contiguous_sum = env.fabric->allreduce_ordered(
-        env.rank, 0, std::span<const double>(contribution.data(), contribution.size()));
-    const std::vector<std::int64_t> slots = {1, 0};
+        env.rank, first,
+        std::span<const double>(contribution.data(), contribution.size()));
+    // The indexed flavour writes the rank's own slots in reverse order.
+    const std::vector<std::int64_t> slots = {static_cast<std::int64_t>(first) + 1,
+                                             static_cast<std::int64_t>(first)};
     r.indexed_sum = env.fabric->allreduce_ordered(
         env.rank, std::span<const std::int64_t>(slots.data(), slots.size()),
         std::span<const double>(contribution.data(), contribution.size()));
@@ -57,14 +66,14 @@ ExchangeResult run_exchange(Fabric& fab) {
 }
 
 TEST(LatencyFabric, ForwardsPayloadsAndReductionsBitwise) {
-  InProcessFabric bare(2, 2);
+  InProcessFabric bare(kRanks, kRanks * kSlotsPerRank);
   const ExchangeResult want = run_exchange(bare);
 
-  InProcessFabric inner(2, 2);
+  InProcessFabric inner(kRanks, kRanks * kSlotsPerRank);
   LatencyFabric latency(inner);
   // A real (tiny) modeled network: the sleeps must not perturb numerics.
   latency.add_policy(std::make_unique<ModeledNetworkPolicy>(
-      arch::NetworkSpec{/*latency_us=*/0.01, /*bandwidth_gbs=*/100.0}, 2));
+      arch::NetworkSpec{/*latency_us=*/0.01, /*bandwidth_gbs=*/100.0}, kRanks));
   const ExchangeResult got = run_exchange(latency);
 
   ASSERT_EQ(got.received.size(), want.received.size());

@@ -1,17 +1,17 @@
-/// runtime::partition_blocks — the generalized grid partition behind the
-/// SPMD runtime: slab compatibility with solver::partition_slabs, prime
+/// runtime::partition_blocks — the grid partition behind the SPMD runtime:
+/// remainder-first z-slab layer ranges and plane-sized slab halos, prime
 /// rank counts, single-element-deep axes, and the closed-form halo
 /// accounting against the BlockHalo the runtime actually builds.
 
 #include <numeric>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "runtime/partition.hpp"
 #include "runtime/rank_system.hpp"
 #include "runtime/spmd.hpp"
-#include "solver/partition.hpp"
 
 namespace semfpga::runtime {
 namespace {
@@ -30,24 +30,104 @@ std::size_t global_elements(const sem::BoxMeshSpec& spec) {
          static_cast<std::size_t>(spec.nelz);
 }
 
-TEST(PartitionBlocks, SlabKindReproducesPartitionSlabs) {
-  for (const auto& [nelz, ranks] : {std::pair{13, 4}, {10, 4}, {6, 3}, {8, 1}}) {
-    const sem::BoxMeshSpec spec = spec_of(3, 5, 4, nelz);
-    const solver::SlabPartition slabs = solver::partition_slabs(spec, ranks);
-    const BlockPartition blocks = partition_blocks(spec, ranks, PartitionKind::kSlab);
+TEST(PartitionBlocks, SlabKindSplitsLayersRemainderFirst) {
+  // z-slabs over the full x/y extent; the first nelz % ranks slabs get
+  // one extra layer.  `bounds` lists each rank's z_begin, then nelz.
+  struct Case {
+    int nelz;
+    int ranks;
+    std::vector<int> bounds;
+  };
+  const Case cases[] = {
+      {13, 4, {0, 4, 7, 10, 13}},
+      {10, 4, {0, 3, 6, 8, 10}},
+      {6, 3, {0, 2, 4, 6}},
+      {8, 1, {0, 8}},
+  };
+  for (const Case& c : cases) {
+    const sem::BoxMeshSpec spec = spec_of(3, 5, 4, c.nelz);
+    const BlockPartition blocks = partition_blocks(spec, c.ranks, PartitionKind::kSlab);
     ASSERT_EQ(blocks.px, 1);
     ASSERT_EQ(blocks.py, 1);
-    ASSERT_EQ(blocks.pz, ranks);
-    for (int r = 0; r < ranks; ++r) {
-      const auto& s = slabs.ranks[static_cast<std::size_t>(r)];
-      const auto& b = blocks.ranks[static_cast<std::size_t>(r)];
-      ASSERT_EQ(b.z_begin, s.z_begin) << "rank " << r;
-      ASSERT_EQ(b.z_end, s.z_end) << "rank " << r;
+    ASSERT_EQ(blocks.pz, c.ranks);
+    ASSERT_EQ(blocks.ranks.size(), static_cast<std::size_t>(c.ranks));
+    for (int r = 0; r < c.ranks; ++r) {
+      const RankBlock& b = blocks.ranks[static_cast<std::size_t>(r)];
+      const int z_begin = c.bounds[static_cast<std::size_t>(r)];
+      const int z_end = c.bounds[static_cast<std::size_t>(r) + 1];
+      ASSERT_EQ(b.z_begin, z_begin) << "nelz " << c.nelz << " rank " << r;
+      ASSERT_EQ(b.z_end, z_end) << "nelz " << c.nelz << " rank " << r;
       ASSERT_EQ(b.x_begin, 0);
       ASSERT_EQ(b.x_end, spec.nelx);
       ASSERT_EQ(b.y_begin, 0);
       ASSERT_EQ(b.y_end, spec.nely);
+      ASSERT_EQ(b.n_elements, 5LL * 4 * (z_end - z_begin));
     }
+  }
+}
+
+TEST(PartitionBlocks, SlabRemainderLayersAlwaysLandOnTheFirstRanks) {
+  // Exhaustive small sweep: slabs are contiguous, cover every layer once,
+  // and stay within one layer of each other, larger slabs first.
+  for (int nelz = 1; nelz <= 9; ++nelz) {
+    for (int ranks = 1; ranks <= nelz; ++ranks) {
+      const BlockPartition part =
+          partition_blocks(spec_of(2, 2, 2, nelz), ranks, PartitionKind::kSlab);
+      ASSERT_EQ(static_cast<int>(part.ranks.size()), ranks);
+      int z = 0;
+      for (int r = 0; r < ranks; ++r) {
+        const RankBlock& b = part.ranks[static_cast<std::size_t>(r)];
+        const int expected = nelz / ranks + (r < nelz % ranks ? 1 : 0);
+        ASSERT_EQ(b.z_begin, z) << "nelz " << nelz << " ranks " << ranks << " rank " << r;
+        ASSERT_EQ(b.z_end - b.z_begin, expected)
+            << "nelz " << nelz << " ranks " << ranks << " rank " << r;
+        z = b.z_end;
+      }
+      ASSERT_EQ(z, nelz);
+    }
+  }
+}
+
+TEST(PartitionBlocks, SlabHalosArePlaneSizedPerNeighbour) {
+  // The raw-copy protocol sends a z neighbour one value per (shared
+  // lattice row, own adjacent element): a plane of nelx(N+1) x nely(N+1)
+  // doubles per interface.  End slabs have one interface, inner slabs two.
+  const sem::BoxMeshSpec spec = spec_of(2, 3, 3, 6);
+  const std::int64_t plane = (3 * 3) * (3 * 3);
+  const BlockPartition three = partition_blocks(spec, 3, PartitionKind::kSlab);
+  EXPECT_EQ(three.ranks[0].n_neighbors, 1);
+  EXPECT_EQ(three.ranks[0].halo_doubles, plane);
+  EXPECT_EQ(three.ranks[1].n_neighbors, 2);
+  EXPECT_EQ(three.ranks[1].halo_doubles, 2 * plane);
+  EXPECT_EQ(three.ranks[2].n_neighbors, 1);
+  EXPECT_EQ(three.ranks[2].halo_doubles, plane);
+  EXPECT_EQ(three.max_halo_doubles(), 2 * plane);
+  EXPECT_EQ(three.max_halo_bytes(), 2 * plane * 8);
+
+  // One rank per layer: single-layer slabs, interfaces by position.
+  const sem::BoxMeshSpec layered = spec_of(4, 3, 2, 6);
+  const std::int64_t layered_plane = (3 * 5) * (2 * 5);
+  const BlockPartition six = partition_blocks(layered, 6, PartitionKind::kSlab);
+  for (const RankBlock& b : six.ranks) {
+    EXPECT_EQ(b.z_end - b.z_begin, 1);
+    EXPECT_EQ(b.n_elements, 3LL * 2);
+    const int interfaces = (b.rank > 0 ? 1 : 0) + (b.rank < 5 ? 1 : 0);
+    EXPECT_EQ(b.n_neighbors, interfaces);
+    EXPECT_EQ(b.halo_doubles, interfaces * layered_plane);
+  }
+}
+
+TEST(PartitionBlocks, SingleRankHasNoHalo) {
+  for (const PartitionKind kind :
+       {PartitionKind::kSlab, PartitionKind::kPencil, PartitionKind::kBlock3d}) {
+    const BlockPartition part = partition_blocks(spec_of(3, 4, 4, 7), 1, kind);
+    ASSERT_EQ(part.ranks.size(), 1u);
+    const RankBlock& b = part.ranks[0];
+    EXPECT_EQ(b.n_elements, 4LL * 4 * 7);
+    EXPECT_EQ(b.n_interior_elements, b.n_elements);  // no inter-rank faces
+    EXPECT_EQ(b.n_neighbors, 0);
+    EXPECT_EQ(b.halo_doubles, 0);
+    EXPECT_EQ(part.max_halo_bytes(), 0);
   }
 }
 
