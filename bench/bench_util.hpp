@@ -26,7 +26,7 @@ struct AxOperands {
     const std::size_t n = n_elements * ppe;
     u.resize(n);
     w.assign(n, 0.0);
-    g.resize(n * sem::kGeomComponents);
+    g.resize(n_elements * sem::geom_block_size(ppe));
     SplitMix64 rng(7);
     for (double& v : u) {
       v = rng.uniform(-1.0, 1.0);

@@ -34,7 +34,7 @@ double measure_host_gflops(int degree, std::size_t n_elements) {
   const std::size_t n = n_elements * ppe;
   // Synthetic operands: the kernel's arithmetic does not depend on mesh
   // validity, so fill with random data sized like the real factors.
-  aligned_vector<double> u(n), w(n), g(n * sem::kGeomComponents);
+  aligned_vector<double> u(n), w(n), g(n_elements * sem::geom_block_size(ppe));
   SplitMix64 rng(42);
   for (double& v : u) {
     v = rng.uniform(-1.0, 1.0);

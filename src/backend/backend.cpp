@@ -13,7 +13,7 @@ Backend::~Backend() = default;
 
 double Backend::dot(std::span<const double> a, std::span<const double> b) {
   const auto& c = inv_multiplicity();
-  return reduce(PassCost{3, 0}, [&](std::size_t begin, std::size_t end) {
+  return reduce(kDotPassCost, [&](std::size_t begin, std::size_t end) {
     double acc = 0.0;
     for (std::size_t i = begin; i < end; ++i) {
       acc += a[i] * b[i] * c[i];

@@ -109,6 +109,9 @@ struct PassCost {
   }
 };
 
+/// Shape of Backend::dot: reads a, b and the multiplicity weights.
+inline constexpr PassCost kDotPassCost{3, 0};
+
 struct FpgaTimeline;  // defined in fpga_sim_backend.hpp
 
 /// The per-solve execution surface.  All spans are element-local vectors of

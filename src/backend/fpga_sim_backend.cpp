@@ -80,18 +80,24 @@ void FpgaCostModel::charge_apply(FpgaTimeline& t) const {
   t.operator_seconds += per_apply_.seconds;
 }
 
-void FpgaCostModel::charge_pass(FpgaTimeline& t, std::size_t n, PassCost cost) const {
+double FpgaCostModel::pass_seconds(std::size_t n, PassCost cost) const {
   const int streams = cost.reads + cost.writes;
   if (streams <= 0 || n == 0) {
-    return;
+    return 0.0;
   }
   // Full-length vectors stream contiguously: per-stream burst = the whole
   // vector, so the efficiency model sits at its banked steady plateau.
   const double burst = static_cast<double>(n) * 8.0;
   const double eff = memory_.steady_efficiency(burst, streams);
-  const double bytes = cost.bytes(n);
+  return cost.bytes(n) / (eff * memory_.spec().peak_bytes_per_sec());
+}
+
+void FpgaCostModel::charge_pass(FpgaTimeline& t, std::size_t n, PassCost cost) const {
+  if (cost.reads + cost.writes <= 0 || n == 0) {
+    return;
+  }
   ++t.vector_passes;
-  t.vector_seconds += bytes / (eff * memory_.spec().peak_bytes_per_sec());
+  t.vector_seconds += pass_seconds(n, cost);
 }
 
 void FpgaCostModel::charge_gather_scatter(FpgaTimeline& t,

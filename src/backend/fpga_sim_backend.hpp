@@ -107,6 +107,9 @@ class FpgaCostModel {
 
   void charge_apply(FpgaTimeline& t) const;
   void charge_pass(FpgaTimeline& t, std::size_t n, PassCost cost) const;
+  /// Modeled external-memory seconds of one vector pass over n entries —
+  /// what charge_pass adds (0 for an empty pass).
+  [[nodiscard]] double pass_seconds(std::size_t n, PassCost cost) const;
   void charge_gather_scatter(FpgaTimeline& t, std::size_t n_shared_copies) const;
   void charge_pcie(FpgaTimeline& t, double bytes) const;
   /// Standalone Dirichlet mask sweep: read w + mask, write w.

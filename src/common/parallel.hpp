@@ -27,6 +27,7 @@
 /// degrades to the serial loop.
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #if defined(SEMFPGA_HAVE_OPENMP)
@@ -163,9 +164,12 @@ void segment_partials(std::size_t n, std::size_t segment, int threads,
       (segment + kReductionChunk - 1) / kReductionChunk;
   // One flat index space over (segment, chunk) so short segments still fill
   // every worker; per-chunk sums land in a fixed slot and combine serially
-  // per segment, in chunk order.
+  // per segment, in chunk order.  With one chunk per segment (every element
+  // of order N <= 15) the slots are the partials themselves, combined in
+  // place, and nothing is allocated.
   const std::size_t n_tasks = n_segments * chunks_per_segment;
-  std::vector<double> chunk_sums(n_tasks, 0.0);
+  std::vector<double> scratch(chunks_per_segment > 1 ? n_tasks : 0, 0.0);
+  std::vector<double>& chunk_sums = chunks_per_segment > 1 ? scratch : partials;
   parallel_for(n_tasks, threads, [&](std::size_t t) {
     const std::size_t s = t / chunks_per_segment;
     const std::size_t c = t % chunks_per_segment;
@@ -194,20 +198,29 @@ void segment_partials(std::size_t n, std::size_t segment, int threads,
 
 /// Segment-hierarchical sum reduction over [0, n): per-segment chunk-order
 /// partials combined by tree_fold.  The solver's canonical dot product —
-/// segment = one z element layer — and the building block the SPMD
-/// runtime's distributed dots reproduce exactly (see segment_partials).
+/// segment = one element — and the building block the SPMD runtime's
+/// distributed dots reproduce exactly (see segment_partials).  `partials`
+/// is caller-owned scratch, so a caller that reduces every iteration
+/// (CpuBackend) allocates it once.
 template <class ChunkFn>
 [[nodiscard]] double segmented_reduce(std::size_t n, std::size_t segment, int threads,
-                                      ChunkFn&& chunk_fn) {
+                                      ChunkFn&& chunk_fn, std::vector<double>& partials) {
   if (n == 0) {
     return 0.0;
   }
   if (segment == 0 || segment >= n) {
     return chunked_reduce(n, threads, chunk_fn);
   }
-  std::vector<double> partials;
   segment_partials(n, segment, threads, chunk_fn, partials);
   return tree_fold(partials);
+}
+
+/// segmented_reduce with its own scratch.
+template <class ChunkFn>
+[[nodiscard]] double segmented_reduce(std::size_t n, std::size_t segment, int threads,
+                                      ChunkFn&& chunk_fn) {
+  std::vector<double> partials;
+  return segmented_reduce(n, segment, threads, std::forward<ChunkFn>(chunk_fn), partials);
 }
 
 }  // namespace semfpga

@@ -176,7 +176,7 @@ RunStats SemAccelerator::run(const kernels::AxArgs& args) const {
 
   std::vector<double> up(args.n_elements * ppep, 0.0);
   std::vector<double> wp(args.n_elements * ppep, 0.0);
-  std::vector<double> gp(args.n_elements * ppep * sem::kGeomComponents, 0.0);
+  std::vector<double> gp(args.n_elements * sem::geom_block_size(ppep), 0.0);
   std::vector<double> dxp(static_cast<std::size_t>(nxp) * nxp, 0.0);
   std::vector<double> dxtp(static_cast<std::size_t>(nxp) * nxp, 0.0);
 
@@ -196,14 +196,13 @@ RunStats SemAccelerator::run(const kernels::AxArgs& args) const {
     for (int k = 0; k < nx; ++k) {
       for (int j = 0; j < nx; ++j) {
         for (int i = 0; i < nx; ++i) {
-          const std::size_t src = e * ppe + static_cast<std::size_t>(i) +
+          const std::size_t src = static_cast<std::size_t>(i) +
                                   static_cast<std::size_t>(nx) * j +
                                   static_cast<std::size_t>(nx) * nx * k;
-          const std::size_t dst = e * ppep + pad_index(i, j, k);
-          up[dst] = args.u[src];
+          const std::size_t dst = pad_index(i, j, k);
+          up[e * ppep + dst] = args.u[e * ppe + src];
           for (int c = 0; c < sem::kGeomComponents; ++c) {
-            gp[dst * sem::kGeomComponents + c] =
-                args.g[src * sem::kGeomComponents + c];
+            gp[sem::geom_index(ppep, e, dst, c)] = args.g[sem::geom_index(ppe, e, src, c)];
           }
         }
       }

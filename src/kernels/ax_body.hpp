@@ -17,11 +17,20 @@ namespace semfpga::kernels {
 
 /// Applies w = D^T G D u on one element.  `Real` is float or double; the
 /// operation order is identical across precisions so differences are pure
-/// rounding.  Work arrays shur/shus/shut are caller-provided ((N+1)^3 each).
+/// rounding.  `g` is the element's block of the element-blocked layout
+/// (sem/geometry.hpp): six unit-stride component rows.  Work arrays
+/// shur/shus/shut are caller-provided ((N+1)^3 each).
 template <class Real>
 void ax_element_body_t(const Real* u, Real* w, const Real* g, const Real* dx,
                        const Real* dxt, int nx, Real* shur, Real* shus, Real* shut) {
   const std::size_t n = static_cast<std::size_t>(nx);
+  const std::size_t ppe = n * n * n;
+  const Real* grr = g + sem::geom_row_offset(ppe, sem::kGrr);
+  const Real* grs = g + sem::geom_row_offset(ppe, sem::kGrs);
+  const Real* grt = g + sem::geom_row_offset(ppe, sem::kGrt);
+  const Real* gss = g + sem::geom_row_offset(ppe, sem::kGss);
+  const Real* gst = g + sem::geom_row_offset(ppe, sem::kGst);
+  const Real* gtt = g + sem::geom_row_offset(ppe, sem::kGtt);
   for (int k = 0; k < nx; ++k) {
     for (int j = 0; j < nx; ++j) {
       for (int i = 0; i < nx; ++i) {
@@ -38,10 +47,9 @@ void ax_element_body_t(const Real* u, Real* w, const Real* g, const Real* dx,
           ttmp += dx[static_cast<std::size_t>(k) * n + l] *
                   u[static_cast<std::size_t>(i) + n * j + n * n * l];
         }
-        const Real* gp = g + ijk * sem::kGeomComponents;
-        shur[ijk] = gp[sem::kGrr] * rtmp + gp[sem::kGrs] * stmp + gp[sem::kGrt] * ttmp;
-        shus[ijk] = gp[sem::kGrs] * rtmp + gp[sem::kGss] * stmp + gp[sem::kGst] * ttmp;
-        shut[ijk] = gp[sem::kGrt] * rtmp + gp[sem::kGst] * stmp + gp[sem::kGtt] * ttmp;
+        shur[ijk] = grr[ijk] * rtmp + grs[ijk] * stmp + grt[ijk] * ttmp;
+        shus[ijk] = grs[ijk] * rtmp + gss[ijk] * stmp + gst[ijk] * ttmp;
+        shut[ijk] = grt[ijk] * rtmp + gst[ijk] * stmp + gtt[ijk] * ttmp;
       }
     }
   }

@@ -11,7 +11,8 @@ void AxArgsF32::validate() const {
   const std::size_t n = n_elements * ppe;
   SEMFPGA_CHECK(u.size() == n, "u has the wrong size");
   SEMFPGA_CHECK(w.size() == n, "w has the wrong size");
-  SEMFPGA_CHECK(g.size() == n * sem::kGeomComponents, "g has the wrong size");
+  SEMFPGA_CHECK(g.size() == n_elements * sem::geom_block_size(ppe),
+                "g has the wrong size");
   SEMFPGA_CHECK(dx.size() == static_cast<std::size_t>(n1d) * n1d, "dx has the wrong size");
   SEMFPGA_CHECK(dxt.size() == static_cast<std::size_t>(n1d) * n1d,
                 "dxt has the wrong size");
@@ -25,7 +26,7 @@ void ax_reference_f32(const AxArgsF32& args) {
   std::vector<float> shut(ppe);
   for (std::size_t e = 0; e < args.n_elements; ++e) {
     ax_element_body_t<float>(args.u.data() + e * ppe, args.w.data() + e * ppe,
-                             args.g.data() + e * ppe * sem::kGeomComponents,
+                             args.g.data() + sem::geom_block_offset(ppe, e),
                              args.dx.data(), args.dxt.data(), args.n1d, shur.data(),
                              shus.data(), shut.data());
   }

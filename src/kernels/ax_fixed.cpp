@@ -19,40 +19,46 @@ void ax_element_fixed(const double* __restrict u, double* __restrict w,
                       double* __restrict shus, double* __restrict shut) {
   constexpr std::size_t n = NX;
   constexpr std::size_t n2 = n * n;
-  // Gradient phase: build the three directional-derivative rows vectorised
-  // over i, then contract with G.
+  constexpr std::size_t ppe = n2 * n;
+  const double* __restrict grr = g + sem::geom_row_offset(ppe, sem::kGrr);
+  const double* __restrict grs = g + sem::geom_row_offset(ppe, sem::kGrs);
+  const double* __restrict grt = g + sem::geom_row_offset(ppe, sem::kGrt);
+  const double* __restrict gss = g + sem::geom_row_offset(ppe, sem::kGss);
+  const double* __restrict gst = g + sem::geom_row_offset(ppe, sem::kGst);
+  const double* __restrict gtt = g + sem::geom_row_offset(ppe, sem::kGtt);
+  // Gradient phase, one SIMD lane per i: each lane keeps its three
+  // directional derivatives in registers across the unrolled l-contraction
+  // and contracts them with its unit-stride G entries at once.  Derivative
+  // rows accumulated in stack arrays instead get split by GCC into xmm
+  // halves, spilled and reloaded as ymm — a store-forwarding stall that
+  // measured 20-35% slower at NX = 4.  omp simd pins the vector dimension
+  // to i; without it GCC vectorises the l-reduction instead, which
+  // measures ~5x slower at NX = 8.
   for (int k = 0; k < NX; ++k) {
     for (int j = 0; j < NX; ++j) {
       const std::size_t row = n * static_cast<std::size_t>(j) + n2 * static_cast<std::size_t>(k);
-      double rtmp[NX] = {};
-      double stmp[NX] = {};
-      double ttmp[NX] = {};
-      for (int l = 0; l < NX; ++l) {
-        // d/dr: rtmp[i] = sum_l D[i][l] u[l,j,k]  -> broadcast u, stream D^T rows.
-        const double u_l = u[static_cast<std::size_t>(l) + row];
-        const double* dxt_l = dxt + static_cast<std::size_t>(l) * n;
-        // d/ds and d/dt: broadcast the D entry, stream u rows.
-        const double d_jl = dx[static_cast<std::size_t>(j) * n + l];
-        const double d_kl = dx[static_cast<std::size_t>(k) * n + l];
-        const double* u_s = u + n * static_cast<std::size_t>(l) + n2 * static_cast<std::size_t>(k);
-        const double* u_t = u + n * static_cast<std::size_t>(j) + n2 * static_cast<std::size_t>(l);
-        // omp simd pins the vector dimension to i; without it GCC fully
-        // unrolls this short loop and then vectorises the l-reduction
-        // instead, which measures ~5x slower at NX = 8.
-#pragma omp simd
-        for (int i = 0; i < NX; ++i) {
-          rtmp[i] += u_l * dxt_l[i];
-          stmp[i] += d_jl * u_s[i];
-          ttmp[i] += d_kl * u_t[i];
-        }
-      }
+      // d/dr: broadcast u[l,j,k], stream D^T rows; d/ds and d/dt:
+      // broadcast the D entry, stream u rows.
+      const double* u_r = u + row;
+      const double* d_j = dx + n * static_cast<std::size_t>(j);
+      const double* d_k = dx + n * static_cast<std::size_t>(k);
+      const double* u_s = u + n2 * static_cast<std::size_t>(k);
+      const double* u_t = u + n * static_cast<std::size_t>(j);
 #pragma omp simd
       for (int i = 0; i < NX; ++i) {
+        double r = 0.0;
+        double s = 0.0;
+        double t = 0.0;
+        for (int l = 0; l < NX; ++l) {
+          const std::size_t ll = static_cast<std::size_t>(l);
+          r += u_r[ll] * dxt[n * ll + static_cast<std::size_t>(i)];
+          s += d_j[ll] * u_s[n * ll + static_cast<std::size_t>(i)];
+          t += d_k[ll] * u_t[n2 * ll + static_cast<std::size_t>(i)];
+        }
         const std::size_t ijk = static_cast<std::size_t>(i) + row;
-        const double* gp = g + ijk * sem::kGeomComponents;
-        shur[ijk] = gp[sem::kGrr] * rtmp[i] + gp[sem::kGrs] * stmp[i] + gp[sem::kGrt] * ttmp[i];
-        shus[ijk] = gp[sem::kGrs] * rtmp[i] + gp[sem::kGss] * stmp[i] + gp[sem::kGst] * ttmp[i];
-        shut[ijk] = gp[sem::kGrt] * rtmp[i] + gp[sem::kGst] * stmp[i] + gp[sem::kGtt] * ttmp[i];
+        shur[ijk] = grr[ijk] * r + grs[ijk] * s + grt[ijk] * t;
+        shus[ijk] = grs[ijk] * r + gss[ijk] * s + gst[ijk] * t;
+        shut[ijk] = grt[ijk] * r + gst[ijk] * s + gtt[ijk] * t;
       }
     }
   }
@@ -91,8 +97,8 @@ void ax_fixed_n1d(const AxArgs& args, std::size_t e_begin, std::size_t e_end) {
   static thread_local std::vector<double> shur(ppe), shus(ppe), shut(ppe);
   for (std::size_t e = e_begin; e < e_end; ++e) {
     ax_element_fixed<N1D>(args.u.data() + e * ppe, args.w.data() + e * ppe,
-                          args.g.data() + e * ppe * sem::kGeomComponents, args.dx.data(),
-                          args.dxt.data(), shur.data(), shus.data(), shut.data());
+                          args.geom(e), args.dx.data(), args.dxt.data(), shur.data(),
+                          shus.data(), shut.data());
   }
 }
 

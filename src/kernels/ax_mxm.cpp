@@ -45,7 +45,13 @@ void ax_mxm_range_impl(const AxArgs& args, std::size_t e_begin, std::size_t e_en
   for (std::size_t e = e_begin; e < e_end; ++e) {
     const double* u = args.u.data() + e * ppe;
     double* w = args.w.data() + e * ppe;
-    const double* g = args.g.data() + e * ppe * sem::kGeomComponents;
+    const double* g = args.geom(e);
+    const double* grr = g + sem::geom_row_offset(ppe, sem::kGrr);
+    const double* grs = g + sem::geom_row_offset(ppe, sem::kGrs);
+    const double* grt = g + sem::geom_row_offset(ppe, sem::kGrt);
+    const double* gss = g + sem::geom_row_offset(ppe, sem::kGss);
+    const double* gst = g + sem::geom_row_offset(ppe, sem::kGst);
+    const double* gtt = g + sem::geom_row_offset(ppe, sem::kGtt);
 
     // --- local_grad3: ur = du/dr, us = du/ds, ut = du/dt ------------------
     // r-derivative: one (n^2 x n) * (n x n) product against D^T.
@@ -59,13 +65,12 @@ void ax_mxm_range_impl(const AxArgs& args, std::size_t e_begin, std::size_t e_en
 
     // --- geometric contraction, in place --------------------------------
     for (std::size_t p = 0; p < ppe; ++p) {
-      const double* gp = g + p * sem::kGeomComponents;
       const double r = ur[p];
       const double s = us[p];
       const double t = ut[p];
-      ur[p] = gp[sem::kGrr] * r + gp[sem::kGrs] * s + gp[sem::kGrt] * t;
-      us[p] = gp[sem::kGrs] * r + gp[sem::kGss] * s + gp[sem::kGst] * t;
-      ut[p] = gp[sem::kGrt] * r + gp[sem::kGst] * s + gp[sem::kGtt] * t;
+      ur[p] = grr[p] * r + grs[p] * s + grt[p] * t;
+      us[p] = grs[p] * r + gss[p] * s + gst[p] * t;
+      ut[p] = grt[p] * r + gst[p] * s + gtt[p] * t;
     }
 
     // --- local_grad3_t: w = D_r^T ur + D_s^T us + D_t^T ut ----------------

@@ -20,6 +20,7 @@
 #include "common/parallel.hpp"
 #include "common/split_fold.hpp"
 #include "kernels/ax_dispatch.hpp"
+#include "obs/obs.hpp"
 
 namespace semfpga::kernels::detail {
 
@@ -92,7 +93,9 @@ void fused_sweep(AxVariant variant, const AxArgs& args, const AxFusedScatter& fu
   // 0.0 while they are cache-hot — bitwise exactly what the split mask
   // sweep does to them, since multiplying the remaining DOFs by 1.0 would
   // change nothing.  Shared DOFs keep their unmasked values for the
-  // owner-computes sum.
+  // owner-computes sum.  The two passes are separate spans, so a trace
+  // shows how an apply splits between the element kernel and the surface.
+  obs::Span element_span("apply.element");
   parallel_blocks(args.n_elements, policy.threads,
                   [&](std::size_t /*part*/, std::size_t begin, std::size_t end) {
     for (std::size_t c = begin; c < end; c += kFusedChunk) {
@@ -109,9 +112,12 @@ void fused_sweep(AxVariant variant, const AxArgs& args, const AxFusedScatter& fu
     }
   });
 
+  element_span.end();
+
   // Pass 2 (shared-DOF-parallel): the surface sweep, through the 32-bit
   // position schedule when the caller supplied one (half the index bytes,
   // identical positions and order).
+  OBS_SPAN("apply.surface");
   if (!fused.shared_positions32.empty()) {
     fused_surface_pass<std::int32_t>(args, fused, fused.shared_positions32, masked,
                                      policy);

@@ -150,6 +150,7 @@ void RankSystem::apply_mask(std::span<double> w) const {
 
 void RankSystem::qqt(std::span<double> local) {
   SEMFPGA_CHECK(local.size() == n_local(), "field view must cover the rank block");
+  OBS_SPAN("gs.qqt");
   // Raw copies must leave before the local fold overwrites interface rows;
   // finish() then replaces those rows with the canonical global fold.
   halo_.post(local);
@@ -177,6 +178,7 @@ void RankSystem::apply_unmasked(std::span<const double> u, std::span<double> w) 
                                    interior_runs_[i].second);
       });
     }
+    OBS_SPAN("gs.qqt");
     system_->gs().qqt(w, threads());
     halo_.finish(w);
     return;

@@ -16,7 +16,7 @@ GeomFactors geometric_factors(const Mesh& mesh, const ReferenceElement& ref) {
   gf.n1d = n1d;
   gf.n_elements = ne;
   gf.ppe = ppe;
-  gf.g.assign(ne * ppe * kGeomComponents, 0.0);
+  gf.g.assign(ne * geom_block_size(ppe), 0.0);
   gf.mass.assign(ne * ppe, 0.0);
   gf.jac_det.assign(ne * ppe, 0.0);
 
@@ -94,13 +94,13 @@ GeomFactors geometric_factors(const Mesh& mesh, const ReferenceElement& ref) {
                             inv[a][2] * inv[b][2]);
           };
 
-          double* gp = &gf.g[(base + ijk) * kGeomComponents];
-          gp[kGrr] = gab(0, 0);
-          gp[kGrs] = gab(0, 1);
-          gp[kGrt] = gab(0, 2);
-          gp[kGss] = gab(1, 1);
-          gp[kGst] = gab(1, 2);
-          gp[kGtt] = gab(2, 2);
+          double* ge = gf.g.data() + geom_block_offset(ppe, e) + ijk;
+          ge[geom_row_offset(ppe, kGrr)] = gab(0, 0);
+          ge[geom_row_offset(ppe, kGrs)] = gab(0, 1);
+          ge[geom_row_offset(ppe, kGrt)] = gab(0, 2);
+          ge[geom_row_offset(ppe, kGss)] = gab(1, 1);
+          ge[geom_row_offset(ppe, kGst)] = gab(1, 2);
+          ge[geom_row_offset(ppe, kGtt)] = gab(2, 2);
 
           gf.mass[base + ijk] = scale;
           gf.jac_det[base + ijk] = det;
@@ -109,20 +109,6 @@ GeomFactors geometric_factors(const Mesh& mesh, const ReferenceElement& ref) {
     }
   }
   return gf;
-}
-
-std::array<aligned_vector<double>, kGeomComponents> split_geom(const GeomFactors& gf) {
-  std::array<aligned_vector<double>, kGeomComponents> out;
-  const std::size_t n = gf.n_elements * gf.ppe;
-  for (auto& v : out) {
-    v.resize(n);
-  }
-  for (std::size_t p = 0; p < n; ++p) {
-    for (int c = 0; c < kGeomComponents; ++c) {
-      out[static_cast<std::size_t>(c)][p] = gf.g[p * kGeomComponents + c];
-    }
-  }
-  return out;
 }
 
 }  // namespace semfpga::sem

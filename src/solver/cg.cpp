@@ -23,10 +23,25 @@ bool identity_preconditioned(const CgOptions& options) {
   return !options.preconditioner && !options.use_jacobi;
 }
 
+/// Stream shapes of the iteration's passes (see passes_per_iteration).
+constexpr backend::PassCost kCustomPrecondPass{3, 0};  // <in, z>_c after P^{-1}
+constexpr backend::PassCost kJacobiPass{3, 1};          // z = in / diag, <in, z>_c
+constexpr backend::PassCost kUpdatePass{4, 3};          // x, r axpys, <r, r>_c
+constexpr backend::PassCost kPUpdatePass{2, 1};         // p = z + beta p
+
 }  // namespace
 
 int reductions_per_iteration(const CgOptions& options) {
   return identity_preconditioned(options) ? 2 : 3;
+}
+
+std::vector<backend::PassCost> passes_per_iteration(const CgOptions& options) {
+  std::vector<backend::PassCost> passes = {backend::kDotPassCost, kUpdatePass};
+  if (!identity_preconditioned(options)) {
+    passes.push_back(options.preconditioner ? kCustomPrecondPass : kJacobiPass);
+  }
+  passes.push_back(kPUpdatePass);
+  return passes;
 }
 
 /// Each CG iteration is three fused passes plus the operator:
@@ -81,7 +96,7 @@ CgResult solve_cg(backend::Backend& backend, std::span<const double> b,
     if (options.preconditioner) {
       options.preconditioner(std::span<const double>(in.data(), n),
                              std::span<double>(z.data(), n));
-      return backend.reduce(backend::PassCost{3, 0},
+      return backend.reduce(kCustomPrecondPass,
                             [&](std::size_t begin, std::size_t end) {
                               double acc = 0.0;
                               for (std::size_t i = begin; i < end; ++i) {
@@ -90,7 +105,7 @@ CgResult solve_cg(backend::Backend& backend, std::span<const double> b,
                               return acc;
                             });
     }
-    return backend.reduce(backend::PassCost{3, 1},
+    return backend.reduce(kJacobiPass,
                           [&](std::size_t begin, std::size_t end) {
                             double acc = 0.0;
                             for (std::size_t i = begin; i < end; ++i) {
@@ -206,7 +221,7 @@ CgResult solve_cg(backend::Backend& backend, std::span<const double> b,
     const double alpha = rho / pw;
     {
       OBS_SPAN("cg.update");
-      rr = backend.reduce(backend::PassCost{4, 3},
+      rr = backend.reduce(kUpdatePass,
                           [&](std::size_t begin, std::size_t end) {
                             double acc = 0.0;
                             for (std::size_t i = begin; i < end; ++i) {
@@ -240,7 +255,7 @@ CgResult solve_cg(backend::Backend& backend, std::span<const double> b,
     rho = rho_new;
     {
       OBS_SPAN("cg.p_update");
-      backend.vector_pass(backend::PassCost{2, 1},
+      backend.vector_pass(kPUpdatePass,
                           [&](std::size_t begin, std::size_t end) {
                             for (std::size_t i = begin; i < end; ++i) {
                               p[i] = z_like[i] + beta * p[i];

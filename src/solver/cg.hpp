@@ -127,6 +127,14 @@ struct CgResult {
 /// (arch/cluster_model.hpp) charges this many allreduces per iteration.
 [[nodiscard]] int reductions_per_iteration(const CgOptions& options);
 
+/// Memory-stream shapes of the reduce()/vector_pass() calls one full
+/// solve_cg iteration issues, in issue order: <p, Ap>, the fused
+/// x/r update with <r, r>, the preconditioner with <r, z> (absent when
+/// P = I), and the p update.  Cost-charging backends charge exactly these
+/// per iteration; the cluster model projects the same bytes.
+[[nodiscard]] std::vector<backend::PassCost> passes_per_iteration(
+    const CgOptions& options);
+
 /// Solves the backend's operator equation apply(x) == b for x (overwritten;
 /// initial guess honoured).  This is THE CG loop: every execution tier —
 /// host engine (CpuBackend), modeled FPGA (FpgaSimBackend), SPMD rank

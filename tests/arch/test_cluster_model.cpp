@@ -7,16 +7,23 @@
 
 #include <gtest/gtest.h>
 
+#include "solver/cg.hpp"
+
 namespace semfpga::arch {
 namespace {
 
 constexpr runtime::PartitionKind kSlab = runtime::PartitionKind::kSlab;
 
+/// A device whose vector passes are free: isolates the kernel and network
+/// terms the scaling-shape tests are about.
+double free_pass(std::size_t /*n_local*/, backend::PassCost /*cost*/) { return 0.0; }
+
 std::vector<ProjectionPoint> strong(const sem::BoxMeshSpec& spec,
                                     const DeviceKernelTime& kernel,
                                     const NetworkSpec& network,
-                                    const std::vector<int>& ranks) {
-  return projected_strong_scaling(spec, kernel, network, ranks, kSlab,
+                                    const std::vector<int>& ranks,
+                                    const DevicePassTime& pass = free_pass) {
+  return projected_strong_scaling(spec, kernel, pass, network, ranks, kSlab,
                                   /*overlap=*/false);
 }
 
@@ -24,7 +31,7 @@ std::vector<ProjectionPoint> weak(const sem::BoxMeshSpec& spec,
                                   const DeviceKernelTime& kernel,
                                   const NetworkSpec& network,
                                   const std::vector<int>& ranks) {
-  return projected_weak_scaling(spec, kernel, network, ranks, kSlab,
+  return projected_weak_scaling(spec, kernel, free_pass, network, ranks, kSlab,
                                 /*overlap=*/false);
 }
 
@@ -138,6 +145,9 @@ TEST(ClusterModel, RejectsBadInputs) {
   const NetworkSpec net;
   EXPECT_THROW((void)strong(big_spec(), DeviceKernelTime{}, net, {1}),
                std::invalid_argument);
+  EXPECT_THROW((void)strong(big_spec(), linear_kernel(0.0, 1e-6), net, {1},
+                            DevicePassTime{}),
+               std::invalid_argument);
   NetworkSpec bad = net;
   bad.bandwidth_gbs = 0.0;
   EXPECT_THROW((void)strong(big_spec(), linear_kernel(0.0, 1e-6), bad, {1}),
@@ -163,8 +173,36 @@ TEST(ClusterModel, ChargesTheClosedFormNetworkTermsOfTheWorstRank) {
   EXPECT_DOUBLE_EQ(p.halo_full_seconds, halo_seconds(net, 2, 2 * plane));
   EXPECT_DOUBLE_EQ(p.halo_seconds, p.halo_full_seconds);  // overlap off
   EXPECT_DOUBLE_EQ(p.allreduce_seconds, 3.0 * allreduce_seconds(net, 4));
+  EXPECT_DOUBLE_EQ(p.vector_seconds, 0.0);  // free passes
   EXPECT_DOUBLE_EQ(p.iteration_seconds,
                    p.ax_seconds + p.halo_seconds + p.allreduce_seconds);
+}
+
+TEST(ClusterModel, ChargesTheCgVectorPassesOfTheWorstRank) {
+  // A bandwidth-only device: every pass costs its bytes over 10 GB/s.  The
+  // worst rank's vector term is the Jacobi CG iteration's passes over its
+  // element-local DOFs, and it enters the iteration time.
+  const NetworkSpec net{10.0, 1.0};
+  const sem::BoxMeshSpec spec = big_spec();
+  const DevicePassTime pass = [](std::size_t n, backend::PassCost cost) {
+    return cost.bytes(n) / 10e9;
+  };
+  const ProjectionPoint p =
+      strong(spec, linear_kernel(0.0, 1e-6), net, {4}, pass).front();
+  const std::size_t n1d = static_cast<std::size_t>(spec.degree) + 1;
+  const std::size_t n_local = static_cast<std::size_t>(p.max_elements) * n1d * n1d * n1d;
+  double want = 0.0;
+  for (const backend::PassCost& cost : solver::passes_per_iteration(solver::CgOptions{})) {
+    want += pass(n_local, cost);
+  }
+  EXPECT_GT(want, 0.0);
+  EXPECT_DOUBLE_EQ(p.vector_seconds, want);
+  EXPECT_DOUBLE_EQ(p.iteration_seconds,
+                   p.ax_seconds + p.vector_seconds + p.halo_seconds + p.allreduce_seconds);
+  // One rank owns every DOF: the vector term scales with the block.
+  const ProjectionPoint p1 =
+      strong(spec, linear_kernel(0.0, 1e-6), net, {1}, pass).front();
+  EXPECT_DOUBLE_EQ(p1.vector_seconds, 4.0 * p.vector_seconds);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 /// NetworkSpec terms (halo latency + bytes, log-tree allreduce), the
 /// overlap budget hides only the interior fraction of the modeled apply —
 /// and only on apply paths, never on the standalone qqt — no bit of any
-/// numeric result changes, and the worst rank's per-iteration charges of a
-/// real distributed solve equal what the cluster model projects.
+/// numeric result changes, and the worst rank's per-iteration ledger of a
+/// real distributed solve equals what the cluster model projects.
 
 #include <algorithm>
 #include <cmath>
@@ -15,6 +15,7 @@
 
 #include "arch/cluster_model.hpp"
 #include "backend/backend.hpp"
+#include "backend/fpga_sim_backend.hpp"
 #include "backend/network_backend.hpp"
 #include "runtime/distributed_cg.hpp"
 #include "solver/poisson_system.hpp"
@@ -171,9 +172,10 @@ void expect_relative(double got, double want, const std::string& what) {
 /// with a network, per partition kind x overlap.  A rank's per-iteration
 /// charge is the difference of its ledgers after k+1 and k iterations.
 /// The worst rank is chosen from the ledgers alone by the model's own rule
-/// (kernel + charged halo, ties toward the larger full halo); its halo and
-/// allreduce terms must equal project_one's, with the ledger's per-apply
-/// device time as the model's kernel time.
+/// (its full per-iteration ledger, ties toward the larger full halo); its
+/// vector, halo and allreduce terms and its per-iteration total must equal
+/// project_one's, with the ledger's per-apply device time as the model's
+/// kernel time and the device's pass time as the model's pass time.
 TEST(NetworkChargingBackend, WorstRankLedgerMatchesTheClusterProjection) {
   constexpr int kIterations = 3;
   const std::string flag = "10:1";  // 10 us, 1 GB/s: halo ~ apply time
@@ -226,7 +228,7 @@ TEST(NetworkChargingBackend, WorstRankLedgerMatchesTheClusterProjection) {
         const double halo = after.network_halo_seconds - before.network_halo_seconds;
         const double full = halo + after.network_overlap_saved_seconds -
                             before.network_overlap_saved_seconds;
-        const double time = after.per_apply_seconds + halo;
+        const double time = after.total_seconds() - before.total_seconds();
         if (time > worst_time || (time == worst_time && full > worst_full)) {
           worst = r;
           worst_time = time;
@@ -243,14 +245,22 @@ TEST(NetworkChargingBackend, WorstRankLedgerMatchesTheClusterProjection) {
       const arch::DeviceKernelTime kernel = [&](std::int64_t n) {
         return kernel_by_elements.at(n);
       };
+      const FpgaCostModel device(fpga_sim_options(config.backend_options),
+                                 config.spec.degree, 1);
+      const arch::DevicePassTime pass = [&device](std::size_t n, PassCost cost) {
+        return device.pass_seconds(n, cost);
+      };
       const arch::ProjectionPoint pt =
-          arch::projected_strong_scaling(config.spec, kernel,
+          arch::projected_strong_scaling(config.spec, kernel, pass,
                                          arch::parse_network_flag(flag), {c.ranks},
                                          c.kind, overlap)
               .front();
       const FpgaTimeline& before = k.rank_timelines[static_cast<std::size_t>(worst)];
       const FpgaTimeline& after = k1.rank_timelines[static_cast<std::size_t>(worst)];
       EXPECT_EQ(after.per_apply_seconds, pt.ax_seconds) << label;
+      EXPECT_EQ(after.operator_applies - before.operator_applies, 1) << label;
+      expect_relative(after.vector_seconds - before.vector_seconds, pt.vector_seconds,
+                      label + " vector passes");
       expect_relative(after.network_halo_seconds - before.network_halo_seconds,
                       pt.halo_seconds, label + " halo");
       expect_relative(after.network_overlap_saved_seconds -
@@ -258,6 +268,13 @@ TEST(NetworkChargingBackend, WorstRankLedgerMatchesTheClusterProjection) {
                       pt.overlap_saved_seconds, label + " overlap credit");
       expect_relative(after.network_allreduce_seconds - before.network_allreduce_seconds,
                       pt.allreduce_seconds, label + " allreduce");
+      // Nothing else lands in an iteration's ledger: no gather-scatter or
+      // PCIe charge, so the totals agree, not just the terms.
+      EXPECT_EQ(after.gather_scatter_seconds, before.gather_scatter_seconds) << label;
+      EXPECT_EQ(after.pcie_seconds, before.pcie_seconds) << label;
+      expect_relative(after.total_seconds() - before.total_seconds(), pt.iteration_seconds,
+                      label + " iteration");
+      EXPECT_GT(pt.vector_seconds, 0.0) << label;
       EXPECT_GT(pt.halo_seconds, 0.0) << label;
       if (overlap && c.kind != runtime::PartitionKind::kSlab) {
         // Not vacuous: overlap hides part, not all, of the worst halo.

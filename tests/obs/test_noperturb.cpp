@@ -138,6 +138,26 @@ TEST_F(NoPerturbTest, CpuBackendIsBitwiseIdenticalUnderObs) {
   expect_bitwise_equal(off, on);
 }
 
+TEST_F(NoPerturbTest, FusedApplyRecordsItsElementAndSurfacePasses) {
+  const obs::ObsConfig config = armed("passes");
+  obs::configure(config);
+  (void)run_backend_solve("cpu", /*threads=*/2);
+  int element = 0;
+  int surface = 0;
+  int apply = 0;
+  for (const obs::TaggedEvent& e : obs::collected_events()) {
+    const std::string name = e.event.name;
+    element += name == "apply.element" ? 1 : 0;
+    surface += name == "apply.surface" ? 1 : 0;
+    apply += name == "cg.apply" ? 1 : 0;
+  }
+  cleanup(config);
+  // One element pass and one surface pass inside every operator apply.
+  EXPECT_GT(apply, 0);
+  EXPECT_EQ(element, apply);
+  EXPECT_EQ(surface, apply);
+}
+
 TEST_F(NoPerturbTest, FpgaSimBackendIsBitwiseIdenticalUnderObs) {
   const SolveOutput off = run_backend_solve("fpga-sim", /*threads=*/1);
   const obs::ObsConfig config = armed("fpga");
@@ -164,15 +184,18 @@ TEST_F(NoPerturbTest, DistributedSolveIsBitwiseIdenticalUnderObs) {
   (void)run_distributed_solve(/*ranks=*/2, /*threads=*/2);
   bool saw_halo = false;
   bool saw_allreduce = false;
+  bool saw_qqt = false;
   for (const obs::TaggedEvent& e : obs::collected_events()) {
     const std::string name = e.event.name;
     saw_halo = saw_halo || name.rfind("halo.", 0) == 0;
     saw_allreduce = saw_allreduce || name == "fabric.allreduce";
+    saw_qqt = saw_qqt || name == "gs.qqt";
   }
   std::remove(armed("dist2").trace_path.c_str());
   std::remove(armed("dist2").prom_path.c_str());
   EXPECT_TRUE(saw_halo);
   EXPECT_TRUE(saw_allreduce);
+  EXPECT_TRUE(saw_qqt);  // the rank's split apply: local fold + halo
 }
 
 }  // namespace

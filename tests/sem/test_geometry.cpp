@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -79,17 +80,22 @@ TEST_P(GeometrySweep, TensorIsPositiveDefinitePointwise) {
   const Mesh mesh(spec, ref);
   const GeomFactors gf = geometric_factors(mesh, ref);
 
-  for (std::size_t p = 0; p < gf.n_elements * gf.ppe; ++p) {
-    const double* g = &gf.g[p * kGeomComponents];
-    // Sylvester's criterion on the symmetric 3x3 tensor.
-    const double m1 = g[kGrr];
-    const double m2 = g[kGrr] * g[kGss] - g[kGrs] * g[kGrs];
-    const double m3 = g[kGrr] * (g[kGss] * g[kGtt] - g[kGst] * g[kGst]) -
-                      g[kGrs] * (g[kGrs] * g[kGtt] - g[kGst] * g[kGrt]) +
-                      g[kGrt] * (g[kGrs] * g[kGst] - g[kGss] * g[kGrt]);
-    ASSERT_GT(m1, 0.0);
-    ASSERT_GT(m2, 0.0);
-    ASSERT_GT(m3, 0.0);
+  for (std::size_t e = 0; e < gf.n_elements; ++e) {
+    for (std::size_t ijk = 0; ijk < gf.ppe; ++ijk) {
+      double g[kGeomComponents];
+      for (int c = 0; c < kGeomComponents; ++c) {
+        g[c] = gf.at(e, ijk, c);
+      }
+      // Sylvester's criterion on the symmetric 3x3 tensor.
+      const double m1 = g[kGrr];
+      const double m2 = g[kGrr] * g[kGss] - g[kGrs] * g[kGrs];
+      const double m3 = g[kGrr] * (g[kGss] * g[kGtt] - g[kGst] * g[kGst]) -
+                        g[kGrs] * (g[kGrs] * g[kGtt] - g[kGst] * g[kGrt]) +
+                        g[kGrt] * (g[kGrs] * g[kGst] - g[kGss] * g[kGrt]);
+      ASSERT_GT(m1, 0.0);
+      ASSERT_GT(m2, 0.0);
+      ASSERT_GT(m3, 0.0);
+    }
   }
 }
 
@@ -118,18 +124,35 @@ TEST(Geometry, UniformScalingLaw) {
   }
 }
 
-TEST(Geometry, SplitMatchesInterleaved) {
+TEST(Geometry, ElementBlockedLayoutAddressing) {
+  // g is the paper's Section III-B split stored per element: element e
+  // owns six contiguous component rows, entry (e, ijk, c) at
+  // (e*6 + c)*ppe + ijk.  Every helper must address exactly that slot, and
+  // the layout must cover every slot of g exactly once.
   BoxMeshSpec spec;
   spec.degree = 4;
   spec.deformation = Deformation::kSine;
   const ReferenceElement ref(spec.degree);
   const Mesh mesh(spec, ref);
   const GeomFactors gf = geometric_factors(mesh, ref);
-  const auto split = split_geom(gf);
-  for (std::size_t p = 0; p < gf.n_elements * gf.ppe; ++p) {
+  ASSERT_EQ(gf.g.size(), gf.n_elements * kGeomComponents * gf.ppe);
+  ASSERT_EQ(geom_block_size(gf.ppe), kGeomComponents * gf.ppe);
+  std::vector<int> hits(gf.g.size(), 0);
+  for (std::size_t e = 0; e < gf.n_elements; ++e) {
+    ASSERT_EQ(gf.element(e), gf.g.data() + e * kGeomComponents * gf.ppe);
     for (int c = 0; c < kGeomComponents; ++c) {
-      EXPECT_DOUBLE_EQ(split[static_cast<std::size_t>(c)][p], gf.g[p * kGeomComponents + c]);
+      for (std::size_t ijk = 0; ijk < gf.ppe; ++ijk) {
+        const std::size_t slot =
+            (e * kGeomComponents + static_cast<std::size_t>(c)) * gf.ppe + ijk;
+        ASSERT_EQ(geom_index(gf.ppe, e, ijk, c), slot);
+        ASSERT_EQ(gf.element(e) + geom_row_offset(gf.ppe, c) + ijk, &gf.g[slot]);
+        EXPECT_DOUBLE_EQ(gf.at(e, ijk, c), gf.g[slot]);
+        ++hits[slot];
+      }
     }
+  }
+  for (std::size_t slot = 0; slot < hits.size(); ++slot) {
+    ASSERT_EQ(hits[slot], 1) << "slot " << slot;
   }
 }
 
